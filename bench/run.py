@@ -15,6 +15,7 @@ list of cases and writes the spans to bench/out/.
 """
 
 import argparse
+import bisect
 import json
 import os
 import resource
@@ -32,15 +33,21 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 OUT = BENCH / "out"
 
-SETUP_REPEATS = 11
+# setup_s is the median of SETUP_REPEATS fresh interpreters, started between
+# cases at even intervals across the run, so the calibration loop sees the
+# machine at the same times as it sees the cases.
+SETUP_REPEATS = 45
+SETUP_COMMAND = [sys.executable, "-c", "import plethax, plethax.cli"]
 # The end-to-end times are reported in reference seconds.  The 2-core VM
-# this benchmark was built on changes speed by a third within minutes (a
-# fixed loop ran 39 to 54 times per second in successive 10-second
-# windows), far more than a run can average out.  So the runner times a fixed calibration
-# loop between cases, about every CALIBRATE_EVERY_S seconds, and scales
-# every time by the loop's rate in this run over REFERENCE_RATE: a reference
-# second is the time the loop takes REFERENCE_RATE times.
-CALIBRATE_EVERY_S = 0.5
+# this benchmark was built on changes speed by a third within minutes and
+# by more within seconds (a fixed loop ran 74 to 140 times a second in
+# successive 1-second windows), far more than a run can average out.  So
+# the runner times a fixed calibration loop between cases, about every
+# CALIBRATE_EVERY_S seconds, and scales each case's time by the loop's rate
+# over that case, widened by CALIBRATE_EVERY_S on both sides, divided by
+# REFERENCE_RATE: a reference second is the time the loop takes
+# REFERENCE_RATE times.
+CALIBRATE_EVERY_S = 0.25
 REFERENCE_RATE = 100.0
 # Rounds in the fixed case list of a traced pass, chosen so one untraced
 # pass takes a few seconds.
@@ -117,50 +124,71 @@ class Speed:
     """The machine's speed during a run, from the calibration loop."""
 
     def __init__(self):
-        self.loops = 0
-        self.ns = 0
+        self.mids = []  # mid-point of each timed loop, in perf_counter seconds
+        self.ns = []  # duration of each timed loop
         self.due = 0.0
 
-    def sample(self, force=False):
-        if force or time.perf_counter() >= self.due:
+    def sample(self):
+        if time.perf_counter() >= self.due:
             start = time.perf_counter_ns()
             calibration_loop()
-            calibration_loop()
-            self.ns += time.perf_counter_ns() - start
-            self.loops += 2
+            end = time.perf_counter_ns()
+            self.mids.append((start + end) / 2e9)
+            self.ns.append(end - start)
             self.due = time.perf_counter() + CALIBRATE_EVERY_S
 
-    def rate(self):
-        return self.loops / (self.ns / 1e9)
+    def rate(self, lo=0, hi=None):
+        """Loops per second over the timed loops lo to hi."""
+        ns = self.ns[lo:hi]
+        return len(ns) / (sum(ns) / 1e9)
 
     def scale(self):
-        """Reference seconds per wall-clock second."""
+        """Reference seconds per wall-clock second, over the whole run."""
         return self.rate() / REFERENCE_RATE
 
+    def scale_over(self, start, end):
+        """Reference seconds per wall-clock second from start to end."""
+        lo = bisect.bisect_left(self.mids, start - CALIBRATE_EVERY_S)
+        hi = bisect.bisect_right(self.mids, end + CALIBRATE_EVERY_S)
+        return (self.rate(lo, hi) if hi > lo else self.rate()) / REFERENCE_RATE
 
-def setup_seconds(speed):
-    """Median wall time of a fresh interpreter importing plethax and plethax.cli."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    command = [sys.executable, "-c", "import plethax, plethax.cli"]
-    times = []
-    for attempt in range(SETUP_REPEATS + 1):
+
+class Setup:
+    """Fresh-interpreter import times, taken between cases across a run."""
+
+    def __init__(self, seconds):
+        self.env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        self.times = []
+        self.once()  # the first import also writes the bytecode cache
+        self.times.clear()
+        self.start = time.perf_counter()
+        self.every = seconds / SETUP_REPEATS
+
+    def once(self):
         start = time.perf_counter()
-        subprocess.run(command, env=env, check=True, stdin=subprocess.DEVNULL)
-        if attempt:  # the first import also writes the bytecode cache
-            times.append(time.perf_counter() - start)
-        speed.sample(force=True)
-    return statistics.median(times)
+        subprocess.run(SETUP_COMMAND, env=self.env, check=True, stdin=subprocess.DEVNULL)
+        self.times.append(time.perf_counter() - start)
+
+    def sample(self):
+        if len(self.times) < SETUP_REPEATS and time.perf_counter() >= self.start + len(self.times) * self.every:
+            self.once()
+
+    def median(self):
+        while len(self.times) < SETUP_REPEATS:
+            self.once()
+        return statistics.median(self.times)
 
 
 class Tally:
     """Outcomes of the cases of a run: latencies, failures, wrong outputs."""
 
-    def __init__(self, speed=None):
+    def __init__(self, between=()):
         self.latencies_ns = []
+        self.starts = []  # perf_counter seconds at the start of each timed case
         self.attempted = 0
         self.failed = 0
         self.wrong = 0
-        self.speed = speed
+        self.between = between  # samplers to run between cases
 
     def run(self, case):
         """Time one case from outside the program, then check its output."""
@@ -174,22 +202,23 @@ class Tally:
             print(f"case failed: {exc!r}", file=sys.stderr)
             return
         self.latencies_ns.append(time.perf_counter_ns() - start)
+        self.starts.append(start / 1e9)
         try:
             check(output)
         except Exception as exc:  # CheckError, or output that does not parse
             self.failed += 1
             self.wrong += 1
             print(f"wrong output: {exc}", file=sys.stderr)
-        if self.speed is not None:
-            self.speed.sample()
+        for sampler in self.between:
+            sampler.sample()
 
     def busy_ns(self):
         return sum(self.latencies_ns)
 
 
-def measure(workloads, name, seed, seconds, speed):
+def measure(workloads, name, seed, seconds, between=()):
     """Whole rounds of the workload until `seconds` have passed."""
-    tally = Tally(speed)
+    tally = Tally(between)
     deadline = time.perf_counter() + seconds
     for cases in workloads.WORKLOADS[name](seed):
         for case in cases:
@@ -201,27 +230,23 @@ def measure(workloads, name, seed, seconds, speed):
 
 def end_to_end(workloads, name, seed, seconds):
     speed = Speed()
-    setup = setup_seconds(speed)
-    tally = measure(workloads, name, seed, seconds, speed)
+    setup = Setup(seconds)
+    tally = measure(workloads, name, seed, seconds, (speed, setup))
     done = tally.attempted - tally.failed
     latencies_ms = [ns / 1e6 for ns in tally.latencies_ns]
-    wall = {
-        "setup_s": setup,
-        "cases_per_s": done / (tally.busy_ns() / 1e9),
-        "case_p50_ms": statistics.median(latencies_ms),
-        "case_p90_ms": statistics.quantiles(latencies_ms, n=10)[-1],
-    }
+    scaled_ms = [ms * speed.scale_over(t, t + ms / 1e3) for ms, t in zip(latencies_ms, tally.starts)]
+    setup_s = setup.median()
     print(
-        f"{done} cases; calibration loop at {speed.rate():.2f}/s; wall-clock "
-        + ", ".join(f"{k} {v:.6g}" for k, v in wall.items()),
+        f"{done} cases; calibration loop at {speed.rate():.2f}/s; wall-clock setup_s {setup_s:.6g}, "
+        f"cases_per_s {done / (sum(latencies_ms) / 1e3):.6g}, case_p50_ms {statistics.median(latencies_ms):.6g}, "
+        f"case_p90_ms {statistics.quantiles(latencies_ms, n=10)[-1]:.6g}",
         file=sys.stderr,
     )
-    scale = speed.scale()
     metrics = {
-        "setup_s": (setup * scale, "s"),
-        "cases_per_s": (wall["cases_per_s"] / scale, "1/s"),
-        "case_p50_ms": (wall["case_p50_ms"] * scale, "ms"),
-        "case_p90_ms": (wall["case_p90_ms"] * scale, "ms"),
+        "setup_s": (setup_s * speed.scale(), "s"),
+        "cases_per_s": (done / (sum(scaled_ms) / 1e3), "1/s"),
+        "case_p50_ms": (statistics.median(scaled_ms), "ms"),
+        "case_p90_ms": (statistics.quantiles(scaled_ms, n=10)[-1], "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
     return tally, metrics

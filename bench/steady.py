@@ -1,26 +1,24 @@
 """Steadiness of the benchmark: two sets of runs of the same code.
 
-    python3 bench/steady.py --runs 10
+    python3 bench/steady.py
     python3 bench/steady.py --trace-check
-    python3 bench/steady.py --drift 180
+    python3 bench/steady.py --drift
 
-The first form runs every workload of BENCHMARK.json once per seed in each
-of two sets, with the same seeds in both, alternating which set runs first.
-For each end-to-end metric and workload it prints each set's median and
-quartiles, the spread (the distance between the quartiles over the median)
-and the drift (how much worse the second set's median is than the first's),
-both as shares next to the metric's bound.  It also compares the share of
-failed operations between the sets.  It exits 1 when a spread other than
-that of setup_s, or any drift, exceeds its bound, or the failed shares
-differ.
+The first form runs every workload of BENCHMARK.json once for each of the
+seeds 1 to 10 in each of two sets, for run_seconds each, alternating which
+set runs first.  For each end-to-end metric and workload it prints each
+set's median and quartiles, the spread (the distance between the quartiles
+over the median) and the drift (how much worse the second set's median is
+than the first's), both as shares next to the metric's bound.  It also
+compares the share of failed operations between the sets.  It exits 1 when
+any spread or drift exceeds its bound, or the failed shares differ.
 
-The second form runs each workload traced twice with the same seed and
-checks that every per-layer count is identical; only times may differ.
+The second form runs each workload traced twice with seed 1 and checks
+that every per-layer count is identical; only times may differ.
 
 The third form measures the machine, not plethax: it runs the runner's
-calibration loop back to back for the given seconds and prints, for
-windows of 1, 3 and 10 seconds, the range (max/min) and the spread of its
-rate.
+calibration loop back to back for three minutes and prints, for windows of
+1, 3 and 10 seconds, the range (max/min) and the spread of its rate.
 
 Results go to bench/out/steady-*.json.
 """
@@ -38,6 +36,8 @@ from run import calibration_loop
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 OUT = BENCH / "out"
+SEEDS = range(1, 11)
+DRIFT_SECONDS = 180
 
 
 def run(spec, workload, seed, seconds, trace):
@@ -80,7 +80,7 @@ def steadiness(spec, workloads, seeds, seconds):
             a, b = stats["A"]["median"], stats["B"]["median"]
             drift = (b - a) / a if metric["better"] == "lower" else (a - b) / a
             spread = max(stats[side]["spread"] for side in "AB")
-            good = drift <= bound and (name == "setup_s" or spread <= bound)
+            good = drift <= bound and spread <= bound
             ok = ok and good
             rows.append({
                 "workload": workload, "metric": name, "unit": metric["unit"], "bound": bound,
@@ -90,7 +90,7 @@ def steadiness(spec, workloads, seeds, seconds):
                   f"B {b:10.4f} [{stats['B']['q1']:.4f}, {stats['B']['q3']:.4f}] "
                   f"spread {spread:6.2%} drift {drift:+6.2%} bound {bound:.0%} {'ok' if good else 'OUT'}")
         print(f"{workload:16s} failed share A {shares['A']:.6f} B {shares['B']:.6f}")
-    return {"seeds": seeds, "seconds": seconds, "rows": rows, "runs": results}, ok
+    return {"seeds": list(seeds), "seconds": seconds, "rows": rows, "runs": results}, ok
 
 
 def trace_check(spec, workloads, seed, seconds):
@@ -132,25 +132,20 @@ def drift(seconds):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10, help="seeds per set")
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", nargs="*", help="default: every workload")
-    parser.add_argument("--seconds", type=int, help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--trace-check", action="store_true")
-    parser.add_argument("--drift", type=int, metavar="SECONDS", help="measure the machine's speed drift")
+    parser.add_argument("--drift", action="store_true", help="measure the machine's speed drift")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     if args.drift:
-        report, ok = drift(args.drift)
+        report, ok = drift(DRIFT_SECONDS)
         kind = "drift"
     elif args.trace_check:
-        report, ok = trace_check(spec, workloads, args.first_seed, seconds)
+        report, ok = trace_check(spec, workloads, SEEDS[0], seconds)
         kind = "trace"
     else:
-        seeds = list(range(args.first_seed, args.first_seed + args.runs))
-        report, ok = steadiness(spec, workloads, seeds, seconds)
+        report, ok = steadiness(spec, workloads, SEEDS, seconds)
         kind = "runs"
     OUT.mkdir(exist_ok=True)
     path = OUT / f"steady-{kind}-{time.strftime('%Y%m%d-%H%M%S')}.json"

@@ -228,6 +228,37 @@ def test_report_checks_reject_wrong_counts():
             checks.check_symbolic_report({**good, **bad}, support, 5)
 
 
+def test_request_checks_reject_a_failed_request():
+    run_case, check = workloads.expand_case(random.Random(1), "plain")
+    code, out, err = run_case()
+    check((code, out, err))
+    for bad in ((1, out, err), (0, out, "error: something went wrong\n"), (2, "", "usage: plethax\n")):
+        with pytest.raises(CheckError):
+            check(bad)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_modular_verify_check_rejects_wrong_reports(fmt):
+    params = ((1,), 2, 2, 6)
+    run_case, check = workloads.modular_case(params, 5, fmt)
+    code, out, err = run_case()
+    check((code, out, err))
+    corrupted = [
+        out.replace("PASS", "FAIL") if fmt == "plain" else out.replace('"ok": true', '"ok": false'),
+        out.replace("all 20 seeded points", "all 19 seeded points"),
+    ]
+    if fmt == "json":
+        result = json.loads(out)
+        for field, delta in (("terms", 1), ("points", -1)):
+            bad = json.loads(out)
+            bad["result"][field] = result["result"][field] + delta
+            corrupted.append(json.dumps(bad))
+    for bad in corrupted:
+        assert bad != out
+        with pytest.raises(CheckError):
+            check((code, bad, err))
+
+
 def test_every_workload_round_passes_its_checks():
     for name, rounds in workloads.WORKLOADS.items():
         tally = run.Tally()

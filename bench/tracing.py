@@ -2,8 +2,12 @@
 
 The tracer wraps, from outside the package, the public functions that one
 plethax module calls in another (for example `plethax.expansion.
-enumerate_supersets` and `plethax.process.run_process`), a few hot methods,
-and the constructors of `Partition` and `LabelledAbacus`.  Nothing in
+enumerate_supersets` and `plethax.process.run_process`), the methods of
+`SparsePolynomial` and `LabelledAbacus` that other modules call and that do
+more than a lookup, and the constructors of `Partition` and
+`LabelledAbacus`.  Accessors such as `LabelledAbacus.slot` and `.position`
+and the `Monomial` methods are not wrapped: a wrapper costs more than they
+do, so their time stays in the caller's self time.  Nothing in
 `src/` changes: the wrappers replace module and class attributes while a
 traced pass runs and are removed after it.
 
@@ -81,7 +85,10 @@ class Tracer:
     def patch(self, owner, attr, make):
         original = vars(owner)[attr]
         self._patches.append((owner, attr, original))
-        setattr(owner, attr, make(original))
+        if isinstance(original, classmethod):
+            setattr(owner, attr, classmethod(make(original.__func__)))
+        else:
+            setattr(owner, attr, make(original))
 
     @contextlib.contextmanager
     def installed(self):
@@ -117,18 +124,35 @@ class Tracer:
             fn("expansion.verify_process_identity", cli, expansion, after=add_report)
             fn("partitions.enumerate_supersets", expansion, after=add_shapes)
             fn("partitions.r_decompose", cli, process)
+            fn("partitions.sgn_r", expansion)
+            fn("partitions.bead_positions", abacus)
+            fn("abacus.canonical_abacus", cli)
+            fn("abacus.from_positions", LA)
             fn("abacus.r_move", LA)
             fn("abacus.sign", LA)
             fn("abacus.weight", LA)
+            fn("abacus.shape", LA)
+            fn("abacus.support", LA)
+            fn("abacus.swap", LA)
             fn("process.run_process", process, cli)
             fn("process.epsilon", expansion, cli)
+            fn("process.weight_with_budget", expansion)
             fn("polynomials.a_beta", expansion)
             fn("polynomials.a_beta_eval", expansion)
             fn("polynomials.h_eval", expansion)
+            fn("polynomials.h_poly", expansion)
+            fn("polynomials.plethysm_pr", expansion)
+            fn("polynomials.shifted_beta", expansion)
+            fn("polynomials.seeded_points", expansion)
             fn("polynomials.mul", SP, attr="__mul__", after=add_terms_out)
             fn("polynomials.add", SP, attr="__add__")
+            fn("polynomials.sub", SP, attr="__sub__")
+            fn("polynomials.scale", SP)
+            fn("polynomials.zero", SP)
+            fn("polynomials.monomial", SP)
             for owner in (expansion, process):
                 self.patch(owner, "all_abaci", lambda f: self.generator("abacus.all_abaci", f))
+            self.patch(process, "compositions", lambda f: self.generator("polynomials.compositions", f))
             self.patch(
                 expansion,
                 "enumerate_pairs",

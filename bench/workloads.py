@@ -68,10 +68,20 @@ def stratified_rounds(strata, plan, seed, make_case):
 # seconds (N=7 with m >= 3, N=6 with m=6), which would leave too few cases
 # in a run for a tail percentile.
 SYMBOLIC_MAX_PRODUCT = 200_000
-# Draws per round.  The median case falls inside the N=6 block and the 90th
-# percentile inside the N=7, m=2 block, whose costs are close together, so
-# neither percentile sits on the gap between two strata.
-SYMBOLIC_PLAN = {4: 2, 5: 2, 6: 4, (7, 1): 2, (7, 2): 2}
+# Draws per round, keyed by N and m.  The four cheaper cases of a round take
+# under 30 ms, and the six (6, 1) cases 22 to 49 ms, so the median falls in
+# the middle of the (6, 1) block.  The 90th percentile falls 30% of the way
+# into the (7, 2) block.  "mid" holds N=6 with m >= 3 and N=7 with m=1, whose
+# costs overlap (100 to 450 ms).
+SYMBOLIC_PLAN = {4: 2, 5: 2, (6, 1): 6, (6, 2): 1, "mid": 1, (7, 2): 2}
+
+
+def symbolic_key(n, m):
+    if n < 6:
+        return n
+    if (n, m) in SYMBOLIC_PLAN:
+        return (n, m)
+    return "mid"
 
 
 def symbolic_strata():
@@ -82,8 +92,7 @@ def symbolic_strata():
                 for m in range(1, size // r + 1):
                     if factorial(n) * comb(m + n - 1, n - 1) > SYMBOLIC_MAX_PRODUCT:
                         continue
-                    key = n if n < 7 else (n, m)
-                    strata[key].extend((mu, r, m, n) for mu in partitions(size - r * m))
+                    strata[symbolic_key(n, m)].extend((mu, r, m, n) for mu in partitions(size - r * m))
     return strata
 
 
@@ -109,10 +118,11 @@ def symbolic_rounds(seed):
 
 # -- verify-process ---------------------------------------------------------
 
-# Draws per round, keyed by N (and m); as above, the median falls inside the
-# block of (4, 3) and (5, 1) cases, whose costs overlap, and the 90th
-# percentile inside the (5, 3) block.
-PROCESS_PLAN = {"small": 2, 3: 1, (4, 1): 1, (4, 2): 1, (4, 3): 1, (5, 1): 2, (5, 2): 3, (5, 3): 2}
+# Draws per round, keyed by N (and m).  A (5, 1) case takes 102 to 112 ms,
+# and the five cheaper cases of a round all take under 92 ms, so the four
+# (5, 1) cases hold the median in the middle of a narrow block.  The 90th
+# percentile falls 40% of the way into the (5, 3) block.
+PROCESS_PLAN = {"small": 1, 3: 1, (4, 1): 1, (4, 2): 1, (4, 3): 1, (5, 1): 4, (5, 2): 2, (5, 3): 2}
 
 
 def process_strata():
