@@ -15,7 +15,8 @@ ignores trailing empty slots.
 from dataclasses import dataclass
 from itertools import permutations
 
-from .partitions import Partition, bead_positions
+from .partitions import Partition, bead_positions, partition_from_positions
+from .polynomials import permutation_sign
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,14 +156,11 @@ class LabelledAbacus:
         return tuple(self.slots[i] for i in self.support())
 
     def sign(self) -> int:
-        """Sign of sigma(), by inversion counting."""
-        return _inversion_parity(self.sigma())
+        """Sign of sigma()."""
+        return permutation_sign([label - 1 for label in self.sigma()])
 
     def shape(self) -> Partition:
-        n = self.n_beads
-        return Partition(
-            pos - n + rank for rank, pos in enumerate(self.support(), start=1)
-        )
+        return partition_from_positions(self.support())
 
     def weight(self) -> Monomial:
         """Product over beads of x_label ** position."""
@@ -285,34 +283,3 @@ def all_abaci(lam: Partition, n_beads: int, max_beads: int = 9):
     for perm in permutations(range(1, n_beads + 1)):
         yield LabelledAbacus.from_positions(zip(positions, perm))
 
-
-def _inversion_parity(seq) -> int:
-    """+1 or -1 according to the parity of the inversion count of seq.
-
-    Merge sort, counting crossings mod 2.
-    """
-    items = list(seq)
-
-    def sort(chunk):
-        if len(chunk) < 2:
-            return chunk, 0
-        mid = len(chunk) // 2
-        left, linv = sort(chunk[:mid])
-        right, rinv = sort(chunk[mid:])
-        merged = []
-        inv = linv + rinv
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-                inv += len(left) - i
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
-
-    _, inversions = sort(items)
-    return -1 if inversions % 2 else 1

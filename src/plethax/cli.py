@@ -6,6 +6,7 @@ a schema version for downstream parsing.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,6 +19,7 @@ from .expansion import (
     verify_process_identity,
 )
 from .partitions import Partition, SkewPartition, r_decompose
+from .polynomials import GuardError
 from .process import Composition, epsilon, run_process
 
 SCHEMA_VERSION = 1
@@ -299,36 +301,6 @@ def _cmd_verify(args) -> int:
         raise UsageError("--r and --m must be positive")
     if args.n_beads < 1:
         raise UsageError("--N must be positive")
-    if args.mode == "process":
-        report = verify_process_identity(mu, args.r, args.m, args.n_beads)
-        inputs = {
-            "mu": list(mu.parts),
-            "r": args.r,
-            "m": args.m,
-            "N": args.n_beads,
-            "mode": args.mode,
-        }
-        result = {
-            "ok": report.ok,
-            "pairs": report.n_pairs,
-            "aborted": report.n_aborted,
-            "completed": report.n_completed,
-            "detail": report.detail,
-        }
-        if args.format == "json":
-            print(_record("verify", inputs, result))
-        else:
-            status = "PASS" if report.ok else "FAIL"
-            print(
-                f"{status} process: mu={mu} r={args.r} m={args.m} N={args.n_beads} "
-                f"pairs={report.n_pairs} aborted={report.n_aborted} "
-                f"completed={report.n_completed}: {report.detail}"
-            )
-        return 0 if report.ok else 2
-
-    report = verify_against_oracle(
-        mu, args.r, args.m, args.n_beads, mode=args.mode, seed=args.seed
-    )
     inputs = {
         "mu": list(mu.parts),
         "r": args.r,
@@ -336,15 +308,33 @@ def _cmd_verify(args) -> int:
         "N": args.n_beads,
         "mode": args.mode,
     }
-    result = {"ok": report.ok, "terms": report.terms, "detail": report.detail}
-    if args.mode == "modular":
-        inputs["seed"] = args.seed
-        result["points"] = report.points
+    if args.mode == "process":
+        report = verify_process_identity(mu, args.r, args.m, args.n_beads)
+        # Counts shown on the status line, in the order the JSON lists them.
+        shown = {
+            "pairs": report.n_pairs,
+            "aborted": report.n_aborted,
+            "completed": report.n_completed,
+        }
+        result = {"ok": report.ok, **shown, "detail": report.detail}
+    else:
+        try:
+            report = verify_against_oracle(
+                mu, args.r, args.m, args.n_beads, mode=args.mode, seed=args.seed
+            )
+        except GuardError as exc:
+            raise UsageError(f"{exc.what}; use --mode modular for this N") from exc
+        result = {"ok": report.ok, "terms": report.terms, "detail": report.detail}
+        shown = {}
+        if args.mode == "modular":
+            inputs["seed"] = args.seed
+            result["points"] = report.points
+            shown = {"seed": args.seed, "points": report.points}
     if args.format == "json":
         print(_record("verify", inputs, result))
     else:
         status = "PASS" if report.ok else "FAIL"
-        tail = f" seed={args.seed} points={report.points}" if args.mode == "modular" else ""
+        tail = "".join(f" {key}={value}" for key, value in shown.items())
         print(
             f"{status} {args.mode}: mu={mu} r={args.r} m={args.m} "
             f"N={args.n_beads}{tail}: {report.detail}"
@@ -352,6 +342,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="plethax",

@@ -158,30 +158,14 @@ def verify_against_oracle(
         for lam, c in expansion.items():
             rhs = rhs + a_beta(shifted_beta(lam.parts, n_vars), max_vars=max_vars).scale(c)
         diff = lhs - rhs
-        if diff.is_zero:
-            return VerificationReport(
-                ok=True,
-                mode=mode,
-                mu=mu,
-                r=r,
-                m=m,
-                n_vars=n_vars,
-                terms=len(expansion),
-                detail=f"exact match on {len(lhs.terms)} monomials",
-            )
-        exps, coeff = diff.sorted_terms()[0]
-        return VerificationReport(
-            ok=False,
-            mode=mode,
-            mu=mu,
-            r=r,
-            m=m,
-            n_vars=n_vars,
-            terms=len(expansion),
-            detail=f"first discrepancy: coefficient {coeff} on exponents {exps}",
-        )
-
-    if mode == "modular":
+        ok = diff.is_zero
+        if ok:
+            detail = f"exact match on {len(lhs.terms)} monomials"
+        else:
+            exps, coeff = diff.sorted_terms()[0]
+            detail = f"first discrepancy: coefficient {coeff} on exponents {exps}"
+        seed, points = None, 0
+    elif mode == "modular":
         for index, point in enumerate(seeded_points(n_vars, points, seed)):
             p = point.prime
             lhs_val = (
@@ -196,35 +180,19 @@ def verify_against_oracle(
                     + c * a_beta_eval(shifted_beta(lam.parts, n_vars), point)
                 ) % p
             if lhs_val != rhs_val:
-                return VerificationReport(
-                    ok=False,
-                    mode=mode,
-                    mu=mu,
-                    r=r,
-                    m=m,
-                    n_vars=n_vars,
-                    seed=seed,
-                    points=points,
-                    terms=len(expansion),
-                    detail=(
-                        f"mismatch at point {index}: "
-                        f"lhs {lhs_val} != rhs {rhs_val} (mod {p})"
-                    ),
+                ok = False
+                detail = (
+                    f"mismatch at point {index}: "
+                    f"lhs {lhs_val} != rhs {rhs_val} (mod {p})"
                 )
-        return VerificationReport(
-            ok=True,
-            mode=mode,
-            mu=mu,
-            r=r,
-            m=m,
-            n_vars=n_vars,
-            seed=seed,
-            points=points,
-            terms=len(expansion),
-            detail=f"all {points} seeded points agree",
-        )
-
-    raise ValueError(f"unknown mode {mode!r}")
+                break
+        else:
+            ok, detail = True, f"all {points} seeded points agree"
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return VerificationReport(
+        ok, mode, mu, r, m, n_vars, seed, points, len(expansion), detail
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,103 +229,61 @@ def verify_process_identity(
         lam: c for lam, c in expansion.items() if len(lam) <= n_beads
     }
 
-    def fail(n_pairs, n_aborted, n_completed, detail):
-        return ProcessIdentityReport(
-            False, mu, r, m, n_beads, n_pairs, n_aborted, n_completed, detail
-        )
-
-    aborted_sum = SparsePolynomial.zero(n_beads)
-    completed_sum = SparsePolynomial.zero(n_beads)
-    images: dict[Partition, set] = {}
     n_pairs = n_aborted = n_completed = 0
 
-    for w, beta, trace in enumerate_pairs(mu, n_beads, r, m):
-        n_pairs += 1
-        wmono = weight_with_budget(w, beta, r).vector(n_beads)
-        signed = SparsePolynomial.monomial(n_beads, wmono, w.sign())
-        if trace.successful:
-            n_completed += 1
-            completed_sum = completed_sum + signed
-            image = trace.outcome.abacus
-            lam = image.shape()
-            if lam not in sign_of:
-                return fail(
-                    n_pairs,
-                    n_aborted,
-                    n_completed,
-                    f"completed pair landed on {lam}, outside the expansion support",
-                )
-            if image.sign() != sign_of[lam] * w.sign():
-                return fail(
-                    n_pairs,
-                    n_aborted,
-                    n_completed,
-                    f"sign law broken on a completed pair with shape {lam}",
-                )
-            if image.weight().vector(n_beads) != wmono:
-                return fail(
-                    n_pairs,
-                    n_aborted,
-                    n_completed,
-                    f"weight not conserved on a completed pair with shape {lam}",
-                )
-            bucket = images.setdefault(lam, set())
-            if image in bucket:
-                return fail(
-                    n_pairs,
-                    n_aborted,
-                    n_completed,
-                    f"two completed pairs share the image {image!r}",
-                )
-            bucket.add(image)
-        else:
-            n_aborted += 1
-            aborted_sum = aborted_sum + signed
-            w2, beta2 = epsilon(w, beta, r)
-            if w2.sign() != -w.sign():
-                return fail(
-                    n_pairs, n_aborted, n_completed, "partner does not reverse sign"
-                )
-            if weight_with_budget(w2, beta2, r).vector(n_beads) != wmono:
-                return fail(
-                    n_pairs, n_aborted, n_completed, "partner changes the weight"
-                )
-            w3, beta3 = epsilon(w2, beta2, r)
-            if w3 != w or beta3 != beta:
-                return fail(
-                    n_pairs, n_aborted, n_completed, "pairing is not an involution"
-                )
+    def first_failure():
+        nonlocal n_pairs, n_aborted, n_completed
+        # Signed weights by weight monomial: the aborted pairs, and the
+        # completed pairs minus the signed abacus sums of the support shapes.
+        aborted: dict[Monomial, int] = {}
+        unmatched: dict[Monomial, int] = {}
+        images: dict[Partition, set] = {}
+        for w, beta, trace in enumerate_pairs(mu, n_beads, r, m):
+            n_pairs += 1
+            weight = weight_with_budget(w, beta, r)
+            sign = w.sign()
+            if trace.successful:
+                n_completed += 1
+                unmatched[weight] = unmatched.get(weight, 0) + sign
+                image = trace.outcome.abacus
+                lam = image.shape()
+                if lam not in sign_of:
+                    return f"completed pair landed on {lam}, outside the expansion support"
+                if image.sign() != sign_of[lam] * sign:
+                    return f"sign law broken on a completed pair with shape {lam}"
+                if image.weight() != weight:
+                    return f"weight not conserved on a completed pair with shape {lam}"
+                bucket = images.setdefault(lam, set())
+                if image in bucket:
+                    return f"two completed pairs share the image {image!r}"
+                bucket.add(image)
+            else:
+                n_aborted += 1
+                aborted[weight] = aborted.get(weight, 0) + sign
+                w2, beta2 = epsilon(w, beta, r)
+                if w2.sign() != -sign:
+                    return "partner does not reverse sign"
+                if weight_with_budget(w2, beta2, r) != weight:
+                    return "partner changes the weight"
+                if epsilon(w2, beta2, r) != (w, beta):
+                    return "pairing is not an involution"
+        if any(aborted.values()):
+            return "aborted pairs do not cancel"
+        for lam, c in sign_of.items():
+            hits = images.get(lam, set())
+            expected = set(all_abaci(lam, n_beads, max_beads=n_beads))
+            if hits != expected:
+                return f"completed pairs miss {len(expected - hits)} labellings of {lam}"
+            for u in expected:
+                weight = u.weight()
+                unmatched[weight] = unmatched.get(weight, 0) - c * u.sign()
+        if any(unmatched.values()):
+            return "completed pairs do not regroup into the signed shape sums"
+        return None
 
-    if not aborted_sum.is_zero:
-        return fail(
-            n_pairs, n_aborted, n_completed, "aborted pairs do not cancel"
-        )
-
-    regrouped = SparsePolynomial.zero(n_beads)
-    for lam, c in sign_of.items():
-        hits = images.get(lam, set())
-        expected = set(all_abaci(lam, n_beads, max_beads=n_beads))
-        if hits != expected:
-            return fail(
-                n_pairs,
-                n_aborted,
-                n_completed,
-                f"completed pairs miss {len(expected - hits)} labellings of {lam}",
-            )
-        for u in expected:
-            regrouped = regrouped + SparsePolynomial.monomial(
-                n_beads, u.weight().vector(n_beads), c * u.sign()
-            )
-    if regrouped != completed_sum:
-        return fail(
-            n_pairs,
-            n_aborted,
-            n_completed,
-            "completed pairs do not regroup into the signed shape sums",
-        )
-
+    failure = first_failure()
     return ProcessIdentityReport(
-        True,
+        failure is None,
         mu,
         r,
         m,
@@ -365,5 +291,6 @@ def verify_process_identity(
         n_pairs,
         n_aborted,
         n_completed,
-        f"{n_aborted} aborted pairs cancel, {n_completed} completed pairs regroup",
+        failure
+        or f"{n_aborted} aborted pairs cancel, {n_completed} completed pairs regroup",
     )

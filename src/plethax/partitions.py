@@ -335,6 +335,7 @@ def enumerate_supersets(mu: Partition, r: int, m: int) -> list[tuple[Partition, 
             extend(newpos, left - 1, t, -sign if jumped % 2 else sign)
 
     extend(bead_positions(mu, n), m, n, 1)
-    assert len({lam.parts for lam, _ in found}) == len(found)
+    if len({lam.parts for lam, _ in found}) != len(found):
+        raise RuntimeError("two strip chains reached the same shape")
     found.sort(key=lambda entry: entry[0].parts, reverse=True)
     return found

@@ -37,6 +37,15 @@ def compositions(total: int, length: int):
         yield tuple(parts)
 
 
+class GuardError(ValueError):
+    """A size guard tripped: `what` names it, and the message adds how to
+    lift it from a library call."""
+
+    def __init__(self, what: str, hint: str):
+        super().__init__(f"{what}; {hint}")
+        self.what = what
+
+
 def _grevlex_key(exponents):
     return (-sum(exponents), tuple(reversed(exponents)))
 
@@ -69,6 +78,14 @@ class SparsePolynomial:
         self.terms = cleaned
 
     @classmethod
+    def _unchecked(cls, n_vars: int, terms: dict):
+        """Wrap a dict of n_vars-long exponent tuples to nonzero ints as is."""
+        out = cls.__new__(cls)
+        out.n_vars = n_vars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, n_vars: int):
         return cls(n_vars)
 
@@ -85,11 +102,8 @@ class SparsePolynomial:
         return sorted(self.terms.items(), key=lambda kv: _grevlex_key(kv[0]))
 
     def scale(self, c: int):
-        if c == 0:
-            return SparsePolynomial(self.n_vars)
-        return SparsePolynomial(
-            self.n_vars, {e: c * v for e, v in self.terms.items()}
-        )
+        terms = {e: c * v for e, v in self.terms.items()} if c else {}
+        return SparsePolynomial._unchecked(self.n_vars, terms)
 
     def _check_compatible(self, other):
         if not isinstance(other, SparsePolynomial):
@@ -108,9 +122,7 @@ class SparsePolynomial:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        out = SparsePolynomial(self.n_vars)
-        out.terms = acc
-        return out
+        return SparsePolynomial._unchecked(self.n_vars, acc)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -126,9 +138,9 @@ class SparsePolynomial:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = get(key, 0) + c1 * c2
-        out = SparsePolynomial(self.n_vars)
-        out.terms = {e: v for e, v in acc.items() if v}
-        return out
+        return SparsePolynomial._unchecked(
+            self.n_vars, {e: v for e, v in acc.items() if v}
+        )
 
     def __eq__(self, other):
         return (
@@ -212,14 +224,15 @@ def plethysm_pr(g: SparsePolynomial, r: int) -> SparsePolynomial:
     """Substitute x_i -> x_i^r into g, i.e. multiply every exponent by r."""
     if r < 1:
         raise ValueError(f"substitution degree must be positive, got {r}")
-    out = SparsePolynomial(g.n_vars)
-    out.terms = {
-        tuple(e * r for e in exps): coeff for exps, coeff in g.terms.items()
-    }
-    return out
+    return SparsePolynomial._unchecked(
+        g.n_vars,
+        {tuple(e * r for e in exps): coeff for exps, coeff in g.terms.items()},
+    )
 
 
-def _permutation_sign(perm) -> int:
+def permutation_sign(perm) -> int:
+    """Sign of a permutation of 0..n-1 in one-line form, from its cycle
+    lengths: each cycle of even length flips it."""
     seen = [False] * len(perm)
     sign = 1
     for start in range(len(perm)):
@@ -239,7 +252,7 @@ def _permutation_sign(perm) -> int:
 @lru_cache(maxsize=None)
 def _permutation_signs(n: int) -> tuple[int, ...]:
     """Signs aligned with the iteration order of itertools.permutations."""
-    return tuple(_permutation_sign(p) for p in permutations(range(n)))
+    return tuple(permutation_sign(p) for p in permutations(range(n)))
 
 
 def a_beta(beta, max_vars: int = 8) -> SparsePolynomial:
@@ -254,15 +267,15 @@ def a_beta(beta, max_vars: int = 8) -> SparsePolynomial:
     if any(b < 0 for b in beta):
         raise ValueError(f"exponents must be nonnegative: {beta}")
     if n > max_vars:
-        raise ValueError(
-            f"{n}-variable alternant is past the guard ({max_vars}); "
-            f"pass max_vars={n} to force the symbolic expansion"
+        raise GuardError(
+            f"{n}-variable alternant is past the guard ({max_vars})",
+            f"pass max_vars={n} to force the symbolic expansion",
         )
     if len(set(beta)) < n:
         return SparsePolynomial.zero(n)
-    out = SparsePolynomial(n)
-    out.terms = dict(zip(permutations(beta), _permutation_signs(n)))
-    return out
+    return SparsePolynomial._unchecked(
+        n, dict(zip(permutations(beta), _permutation_signs(n)))
+    )
 
 
 @dataclass(frozen=True, slots=True)

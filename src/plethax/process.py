@@ -30,6 +30,15 @@ def pair_budget() -> int:
     return DEFAULT_PAIR_BUDGET if raw is None else int(raw)
 
 
+def _check_budget(count: int, what: str):
+    budget = pair_budget()
+    if count > budget:
+        raise ValueError(
+            f"{count} {what} exceeds the enumeration budget {budget}; "
+            f"set PLETHAX_BUDGET higher to proceed"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class Composition:
     """Fixed-length tuple of nonnegative move counts, indexed by bead label."""
@@ -61,6 +70,10 @@ class Composition:
 
     def __str__(self):
         return "(" + ",".join(str(e) for e in self.entries) + ")"
+
+
+def _composition(beta) -> Composition:
+    return beta if isinstance(beta, Composition) else Composition(tuple(beta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +132,7 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     With record_steps=False the steps tuple is left empty (the outcome and
     the move bookkeeping are unchanged), which the bulk sweeps rely on.
     """
-    beta = beta if isinstance(beta, Composition) else Composition(tuple(beta))
+    beta = _composition(beta)
     if len(beta) != w.n_beads:
         raise ValueError(
             f"budget has {len(beta)} entries for {w.n_beads} beads"
@@ -164,7 +177,8 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
             top = v.support().index(i + r) + 1
             # Completed runs realise the strictly-increasing-source /
             # weakly-decreasing-top pattern that indexes move sequences.
-            assert i > last_source and top <= last_top
+            if not (i > last_source and top <= last_top):
+                raise RuntimeError(f"move from slot {i} breaks the scan order")
             last_source, last_top = i, top
             if record_steps:
                 steps.append(
@@ -173,7 +187,7 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
             if remaining == 0:
                 return ProcessTrace(w, beta, r, tuple(steps), Successful(v))
         i += 1
-    raise AssertionError("scan passed every bead with budget left")
+    raise RuntimeError("scan passed every bead with budget left")
 
 
 def epsilon(w: LabelledAbacus, beta, r: int):
@@ -185,19 +199,18 @@ def epsilon(w: LabelledAbacus, beta, r: int):
     combined weight, and epsilon applied twice gives back the input.
     Raises ValueError on pairs whose run completes.
     """
-    beta = beta if isinstance(beta, Composition) else Composition(tuple(beta))
+    beta = _composition(beta)
     trace = run_process(w, beta, r, record_steps=False)
     if trace.successful:
         raise ValueError("epsilon is defined only for aborted pairs")
     bead = trace.outcome.bead
     blocker = trace.outcome.blocker
-    gap = w.position(blocker) - w.position(bead)
-    assert gap > 0 and gap % r == 0
-    delta = gap // r
+    delta, rest = divmod(w.position(blocker) - w.position(bead), r)
     entries = list(beta.entries)
     entries[bead - 1] -= delta
     entries[blocker - 1] += delta
-    assert entries[bead - 1] >= 0
+    if delta <= 0 or rest or entries[bead - 1] < 0:
+        raise RuntimeError(f"collision of beads {bead} and {blocker} has no partner")
     return w.swap(bead, blocker), Composition(tuple(entries))
 
 
@@ -216,13 +229,7 @@ def enumerate_pairs(mu: Partition, n_beads: int, r: int, m: int):
     The number of pairs is n! * C(m+n-1, n-1); enumeration refuses to start
     past pair_budget().
     """
-    total = factorial(n_beads) * comb(m + n_beads - 1, n_beads - 1)
-    budget = pair_budget()
-    if total > budget:
-        raise ValueError(
-            f"{total} pairs exceeds the enumeration budget {budget}; "
-            f"set PLETHAX_BUDGET higher to proceed"
-        )
+    _check_budget(factorial(n_beads) * comb(m + n_beads - 1, n_beads - 1), "pairs")
     for w in all_abaci(mu, n_beads, max_beads=n_beads):
         for entries in compositions(m, n_beads):
             beta = Composition(entries)
@@ -243,13 +250,7 @@ def k_set(mu: Partition, lam: Partition, n_beads: int, r: int, m: int):
     chain = r_decompose(SkewPartition(lam, mu), r)
     if chain is None:
         return []
-    count = factorial(n_beads)
-    budget = pair_budget()
-    if count > budget:
-        raise ValueError(
-            f"{count} sequences exceeds the enumeration budget {budget}; "
-            f"set PLETHAX_BUDGET higher to proceed"
-        )
+    _check_budget(factorial(n_beads), "sequences")
     sequences = []
     for final in all_abaci(lam, n_beads, max_beads=n_beads):
         seq = [final]
@@ -262,8 +263,8 @@ def k_set(mu: Partition, lam: Partition, n_beads: int, r: int, m: int):
             seq.append(v)
         seq.reverse()
         sources.reverse()
-        assert seq[0].shape() == mu
-        assert all(a < b for a, b in zip(sources, sources[1:]))
+        if seq[0].shape() != mu or any(a >= b for a, b in zip(sources, sources[1:])):
+            raise RuntimeError(f"undoing the chain from {final!r} breaks the order")
         sequences.append(tuple(seq))
     return sequences
 
@@ -272,5 +273,4 @@ def weight_with_budget(
     w: LabelledAbacus, beta, r: int
 ) -> Monomial:
     """The invariant the process conserves: weight(w) times x^(r * beta)."""
-    beta = beta if isinstance(beta, Composition) else Composition(tuple(beta))
-    return w.weight() * Monomial.from_vector(tuple(r * e for e in beta.entries))
+    return w.weight() * Monomial.from_vector(tuple(r * e for e in _composition(beta)))

@@ -5,6 +5,8 @@ search over partitions, deliberately avoiding the bead-position shortcuts
 the package uses, so the two routes fail independently.
 """
 
+from itertools import combinations
+
 from plethax import Partition, SkewPartition, is_border_strip, partitions_of, strip_sign
 
 
@@ -104,3 +106,11 @@ def single_strip_rule(mu: Partition, r: int) -> dict[Partition, int]:
         if is_border_strip(skew, r):
             out[lam] = strip_sign(skew)
     return out
+
+
+def inversion_sign(seq) -> int:
+    """(-1) to the number of pairs i < j with seq[i] > seq[j], pair by pair."""
+    inversions = sum(
+        1 for i, j in combinations(range(len(seq)), 2) if seq[i] > seq[j]
+    )
+    return -1 if inversions % 2 else 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import inversion_sign
 from plethax import (
     Collision,
     LabelledAbacus,
@@ -191,3 +192,12 @@ def test_sigma_lists_labels_right_to_left():
     for w in itertools.islice(all_abaci(Partition((2, 2)), 3), 0, 24, 5):
         labels = [w.slot(p) for p in w.support()]
         assert w.sigma() == tuple(labels)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_sign_matches_brute_force_inversion_count(n):
+    for lam in (Partition(), Partition((3, 1, 1))):
+        if len(lam) > n:
+            continue
+        for w in all_abaci(lam, n):
+            assert w.sign() == inversion_sign(w.sigma())

@@ -266,6 +266,18 @@ def test_usage_errors_exit_1(capsys, argv):
     assert out == ""
 
 
+def test_symbolic_guard_points_cli_users_at_modular_mode(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--mu", "", "--r", "3", "--m", "3", "--N", "9"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert "--mode modular" in err
+    assert "max_vars" not in err
+    with pytest.raises(ValueError, match="max_vars=9"):
+        cli.verify_against_oracle(Partition(), 3, 3, 9)
+
+
 def test_output_is_stable_across_runs(capsys):
     first = run_cli(capsys, "expand", "--mu", "3,1", "--r", "2", "--m", "2")
     second = run_cli(capsys, "expand", "--mu", "3,1", "--r", "2", "--m", "2")

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import single_strip_rule, young_rule
+from plethax import expansion
 from plethax import (
     Partition,
     SchurExpansion,
@@ -186,3 +187,62 @@ def test_verify_process_identity_small_cases(mu, r, m, n):
     report = verify_process_identity(mu, r, m, n)
     assert report.ok, report.detail
     assert report.n_pairs == report.n_aborted + report.n_completed
+
+
+def _flip_first_sign(real):
+    def flipped(mu, r, m):
+        (lam, c), *rest = real(mu, r, m).items()
+        return SchurExpansion([(lam, -c)] + rest)
+
+    return flipped
+
+
+def _drop_first_term(real):
+    def dropped(mu, r, m):
+        return SchurExpansion(real(mu, r, m).items()[1:])
+
+    return dropped
+
+
+def test_verify_symbolic_reports_first_discrepancy(monkeypatch):
+    monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
+    report = verify_against_oracle(Partition(), 2, 2, 4, mode="symbolic")
+    assert not report.ok
+    assert (report.terms, report.seed, report.points) == (3, None, 0)
+    assert report.detail == "first discrepancy: coefficient 2 on exponents (7, 2, 1, 0)"
+
+
+def test_verify_modular_reports_first_mismatching_point(monkeypatch):
+    monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
+    report = verify_against_oracle(Partition(), 2, 2, 4, mode="modular", points=5)
+    assert not report.ok
+    assert (report.terms, report.seed, report.points) == (3, 0, 5)
+    assert report.detail == (
+        "mismatch at point 0: lhs 350141721 != rhs 1383076305 (mod 2147483647)"
+    )
+
+
+def test_verify_process_reports_broken_sign_law(monkeypatch):
+    monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (3, 1, 2)
+    assert report.detail == "sign law broken on a completed pair with shape (3)"
+
+
+def test_verify_process_reports_image_outside_support(monkeypatch):
+    monkeypatch.setattr(expansion, "pmn_expand", _drop_first_term(pmn_expand))
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (3, 1, 2)
+    assert report.detail == (
+        "completed pair landed on (3), outside the expansion support"
+    )
+
+
+def test_verify_process_reports_partner_keeping_sign(monkeypatch):
+    monkeypatch.setattr(expansion, "epsilon", lambda w, beta, r: (w, beta))
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
+    assert report.detail == "partner does not reverse sign"

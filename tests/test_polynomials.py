@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import inversion_sign
 from plethax import (
     EvalPoint,
     SparsePolynomial,
@@ -18,6 +20,7 @@ from plethax import (
     shifted_beta,
     staircase,
 )
+from plethax.polynomials import permutation_sign
 
 
 @st.composite
@@ -208,3 +211,9 @@ def test_staircase_and_shifted_beta():
 def test_evaluate_rejects_wrong_arity():
     with pytest.raises(ValueError):
         h_poly(2, 3).evaluate(EvalPoint((1, 2)))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_permutation_sign_matches_brute_force_inversion_count(n):
+    for perm in itertools.permutations(range(n)):
+        assert permutation_sign(perm) == inversion_sign(perm)

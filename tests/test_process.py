@@ -1,10 +1,13 @@
+import ast
 import math
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import plethax
 from plethax import (
     Composition,
     LabelledAbacus,
@@ -255,3 +258,11 @@ def test_trace_moves_scan_rightward_with_descending_tops(mu, r, m, data):
     assert sources == sorted(sources) and len(set(sources)) == len(sources)
     assert tops == sorted(tops, reverse=True)
     assert len(trace.moves) == sum(entries)
+
+
+def test_package_checks_invariants_without_assert():
+    """Invariant checks raise real errors, which `python -O` keeps."""
+    for path in sorted(Path(plethax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert found == [], f"{path.name} asserts on lines {found}"
