@@ -13,7 +13,7 @@ ignores trailing empty slots.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 from .partitions import Partition, bead_positions, partition_from_positions
 from .polynomials import permutation_sign
@@ -29,16 +29,15 @@ class Collision:
 
 
 class Monomial:
-    """A product of variable powers stored as (variable, exponent) pairs.
-
-    Variables are 1-based and zero exponents are never stored, so the empty
-    monomial is the constant 1.
+    """A product of variable powers stored as its exponent vector: entry i is
+    the exponent of variable i+1, without trailing zeros, so the empty vector
+    is the constant 1.
     """
 
-    __slots__ = ("_powers",)
+    __slots__ = ("_vector",)
 
     def __init__(self, powers=()):
-        merged: dict[int, int] = {}
+        vector = []
         items = powers.items() if isinstance(powers, dict) else powers
         for var, exp in items:
             var = int(var)
@@ -47,56 +46,60 @@ class Monomial:
                 raise ValueError(f"variable index must be >= 1, got {var}")
             if exp < 0:
                 raise ValueError(f"exponent must be nonnegative, got {exp}")
-            merged[var] = merged.get(var, 0) + exp
-        self._powers = tuple(sorted((v, e) for v, e in merged.items() if e))
+            vector += [0] * (var - len(vector))
+            vector[var - 1] += exp
+        self._vector = Monomial.from_vector(vector)._vector
 
     @classmethod
     def from_vector(cls, exponents):
         """Monomial with exponents[i] on variable i+1."""
-        return cls((i + 1, e) for i, e in enumerate(exponents))
+        vector = tuple(map(int, exponents))
+        if min(vector, default=0) < 0:
+            bad = next(e for e in vector if e < 0)
+            raise ValueError(f"exponent must be nonnegative, got {bad}")
+        while vector and not vector[-1]:
+            vector = vector[:-1]
+        out = cls.__new__(cls)
+        out._vector = vector
+        return out
 
     def exponent(self, var: int) -> int:
-        for v, e in self._powers:
-            if v == var:
-                return e
-        return 0
+        return self._vector[var - 1] if 1 <= var <= len(self._vector) else 0
 
     def items(self):
-        return iter(self._powers)
+        return ((v, e) for v, e in enumerate(self._vector, start=1) if e)
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self._powers)
+        return sum(self._vector)
 
     def vector(self, n_vars: int) -> tuple[int, ...]:
         """Dense exponent tuple for variables 1..n_vars."""
-        out = [0] * n_vars
-        for v, e in self._powers:
-            if v > n_vars:
-                raise ValueError(f"variable x{v} does not fit in {n_vars} variables")
-            out[v - 1] = e
-        return tuple(out)
+        past = [v for v, _ in self.items() if v > n_vars]
+        if past:
+            raise ValueError(f"variable x{past[0]} does not fit in {n_vars} variables")
+        return self._vector + (0,) * (n_vars - len(self._vector))
 
     def __mul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return Monomial(self._powers + other._powers)
+        return Monomial.from_vector(
+            map(sum, zip_longest(self._vector, other._vector, fillvalue=0))
+        )
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self._powers == other._powers
+        return isinstance(other, Monomial) and self._vector == other._vector
 
     def __hash__(self):
-        return hash(self._powers)
+        return hash(self._vector)
 
     def __repr__(self):
-        return f"Monomial({self._powers!r})"
+        return f"Monomial({tuple(self.items())!r})"
 
     def __str__(self):
-        if not self._powers:
-            return "1"
         return " ".join(
-            f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in self._powers
-        )
+            f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in self.items()
+        ) or "1"
 
 
 class LabelledAbacus:
@@ -153,7 +156,7 @@ class LabelledAbacus:
 
     def sigma(self) -> tuple[int, ...]:
         """One-line permutation: entry t is the label of the t-th rightmost bead."""
-        return tuple(self.slots[i] for i in self.support())
+        return tuple(x for x in reversed(self.slots) if x)
 
     def sign(self) -> int:
         """Sign of sigma()."""
@@ -164,9 +167,7 @@ class LabelledAbacus:
 
     def weight(self) -> Monomial:
         """Product over beads of x_label ** position."""
-        return Monomial(
-            (label, pos) for pos, label in enumerate(self.slots) if label
-        )
+        return Monomial.from_vector(map(self.slots.index, range(1, self.n_beads + 1)))
 
     def r_move(self, bead: int, r: int):
         """Shift a bead r slots rightward; a LabelledAbacus, or a Collision
@@ -177,10 +178,7 @@ class LabelledAbacus:
         occupant = self.slot(target)
         if occupant:
             return Collision(bead=bead, blocker=occupant, position=target)
-        slots = list(self.slots) + [0] * (target + 1 - len(self.slots))
-        slots[y] = 0
-        slots[target] = bead
-        return LabelledAbacus(slots)
+        return self._placed((y, target), (0, bead))
 
     def left_r_move(self, bead: int, r: int) -> "LabelledAbacus":
         """Shift a bead r slots leftward; raises when blocked or off the runner."""
@@ -194,20 +192,15 @@ class LabelledAbacus:
             raise ValueError(
                 f"slot {target} is occupied by bead {occupant}"
             )
-        slots = list(self.slots)
-        slots[y] = 0
-        slots[target] = bead
-        return LabelledAbacus(slots)
+        return self._placed((y, target), (0, bead))
 
     def swap(self, bead_a: int, bead_b: int) -> "LabelledAbacus":
         """Exchange the slots of two beads."""
         if bead_a == bead_b:
             raise ValueError("swap needs two distinct beads")
-        pa = self.position(bead_a)
-        pb = self.position(bead_b)
-        slots = list(self.slots)
-        slots[pa], slots[pb] = slots[pb], slots[pa]
-        return LabelledAbacus(slots)
+        return self._placed(
+            (self.position(bead_a), self.position(bead_b)), (bead_b, bead_a)
+        )
 
     def beads_between(self, lo: int, hi: int) -> int:
         """Number of beads on slots strictly between lo and hi (lo < hi)."""
@@ -219,7 +212,7 @@ class LabelledAbacus:
         """Label of the t-th rightmost bead, i.e. sigma()[t-1]."""
         if not 1 <= t <= self.n_beads:
             raise ValueError(f"rank must be in 1..{self.n_beads}, got {t}")
-        return self.slots[self.support()[t - 1]]
+        return self.sigma()[t - 1]
 
     def render(self) -> str:
         """Dotted-strip picture: one token per slot, '.' for empty.
@@ -236,6 +229,20 @@ class LabelledAbacus:
         return ",".join(
             f"{i}:{x}" for i, x in enumerate(self.slots) if x
         )
+
+    def _placed(self, positions, labels) -> "LabelledAbacus":
+        """Copy with labels[k] on slot positions[k] (0 empties it), trimmed;
+        callers keep each label 1..n on one slot, so nothing is re-checked."""
+        slots = list(self.slots)
+        slots += [0] * (max(positions, default=-1) + 1 - len(slots))
+        for pos, label in zip(positions, labels):
+            slots[pos] = label
+        while slots and not slots[-1]:
+            slots.pop()
+        out = LabelledAbacus.__new__(LabelledAbacus)
+        out.slots = tuple(slots)
+        out.n_beads = self.n_beads
+        return out
 
     def _check_label(self, bead: int):
         if not 1 <= bead <= self.n_beads:
@@ -279,7 +286,8 @@ def all_abaci(lam: Partition, n_beads: int, max_beads: int = 9):
             f"{n_beads}! abaci is past the guard ({max_beads}); "
             f"pass max_beads={n_beads} to force enumeration"
         )
-    positions = bead_positions(lam, n_beads)
+    canonical = canonical_abacus(lam, n_beads)
+    positions = canonical.support()
     for perm in permutations(range(1, n_beads + 1)):
-        yield LabelledAbacus.from_positions(zip(positions, perm))
+        yield canonical._placed(positions, perm)
 

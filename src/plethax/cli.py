@@ -64,10 +64,7 @@ def parse_abacus(text: str) -> LabelledAbacus:
             pairs.append((int(pos), int(label)))
         except ValueError as exc:
             raise UsageError(f"expected position:label, got {chunk!r}") from exc
-    try:
-        return LabelledAbacus.from_positions(pairs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return LabelledAbacus.from_positions(pairs)
 
 
 def render_expansion(expansion: SchurExpansion, fmt: str) -> str:
@@ -151,11 +148,7 @@ def _cmd_sgn(args) -> int:
     inner = parse_partition(args.inner)
     if args.r < 1:
         raise UsageError("--r must be positive")
-    try:
-        skew = SkewPartition(outer, inner)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    chain = r_decompose(skew, args.r)
+    chain = r_decompose(SkewPartition(outer, inner), args.r)
     if args.format == "json":
         chain_record = None
         if chain is not None:
@@ -207,10 +200,7 @@ def _cmd_trace(args) -> int:
     elif args.canonical:
         if args.mu is None or args.n_beads is None:
             raise UsageError("--canonical needs --mu and --N")
-        try:
-            w = canonical_abacus(parse_partition(args.mu), args.n_beads)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        w = canonical_abacus(parse_partition(args.mu), args.n_beads)
     else:
         raise UsageError("trace needs --abacus or --canonical with --mu/--N")
     entries = parse_entries(args.beta)
@@ -399,10 +389,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

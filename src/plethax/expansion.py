@@ -38,14 +38,11 @@ class SchurExpansion:
 
     def __init__(self, coeffs=None):
         cleaned: dict[Partition, int] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for lam, c in items:
-                c = int(c)
-                if not c:
-                    continue
-                cleaned[lam] = cleaned.get(lam, 0) + c
-        cleaned = {lam: c for lam, c in cleaned.items() if c}
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        for lam, c in items:
+            c = cleaned.pop(lam, 0) + int(c)
+            if c:
+                cleaned[lam] = c
         sizes = {lam.size for lam in cleaned}
         if len(sizes) > 1:
             raise ValueError(f"mixed homogeneous degrees: {sorted(sizes)}")
@@ -154,15 +151,18 @@ def verify_against_oracle(
         lhs = a_beta(mu_beta, max_vars=max_vars) * plethysm_pr(
             h_poly(m, n_vars), r
         )
-        rhs = SparsePolynomial.zero(n_vars)
+        diff = dict(lhs.terms)
         for lam, c in expansion.items():
-            rhs = rhs + a_beta(shifted_beta(lam.parts, n_vars), max_vars=max_vars).scale(c)
-        diff = lhs - rhs
-        ok = diff.is_zero
+            alternant = a_beta(shifted_beta(lam.parts, n_vars), max_vars=max_vars)
+            for exps, sign in alternant.terms.items():
+                left = diff.pop(exps, 0) - c * sign
+                if left:
+                    diff[exps] = left
+        ok = not diff
         if ok:
             detail = f"exact match on {len(lhs.terms)} monomials"
         else:
-            exps, coeff = diff.sorted_terms()[0]
+            exps, coeff = SparsePolynomial(n_vars, diff).sorted_terms()[0]
             detail = f"first discrepancy: coefficient {coeff} on exponents {exps}"
         seed, points = None, 0
     elif mode == "modular":

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import add
 
 DEFAULT_PRIME = 2_147_483_647  # 2**31 - 1
 
@@ -136,7 +137,7 @@ class SparsePolynomial:
         get = acc.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 acc[key] = get(key, 0) + c1 * c2
         return SparsePolynomial._unchecked(
             self.n_vars, {e: v for e, v in acc.items() if v}

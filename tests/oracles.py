@@ -114,3 +114,21 @@ def inversion_sign(seq) -> int:
         1 for i, j in combinations(range(len(seq)), 2) if seq[i] > seq[j]
     )
     return -1 if inversions % 2 else 1
+
+
+def monomial_powers(pairs) -> dict[int, int]:
+    """A monomial as a plain {variable: exponent} dict: repeated variables
+    add up and zero exponents are left out."""
+    powers: dict[int, int] = {}
+    for var, exp in pairs:
+        powers[var] = powers.get(var, 0) + exp
+    return {var: exp for var, exp in powers.items() if exp}
+
+
+def monomial_text(powers: dict[int, int]) -> str:
+    """'x1^6 x2^3' style, variables ascending; '1' for the empty monomial."""
+    if not powers:
+        return "1"
+    return " ".join(
+        f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in sorted(powers.items())
+    )

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import inversion_sign
+from oracles import inversion_sign, monomial_powers, monomial_text
 from plethax import (
     Collision,
     LabelledAbacus,
     Monomial,
     Partition,
     all_abaci,
+    bead_positions,
     canonical_abacus,
     partitions_of,
 )
@@ -201,3 +202,70 @@ def test_sign_matches_brute_force_inversion_count(n):
             continue
         for w in all_abaci(lam, n):
             assert w.sign() == inversion_sign(w.sigma())
+
+
+pairs_st = st.lists(st.tuples(st.integers(1, 6), st.integers(0, 3)), max_size=8)
+
+
+@given(pairs_st, pairs_st)
+def test_monomial_matches_dict_model(pairs_a, pairs_b):
+    a, b = Monomial(pairs_a), Monomial(pairs_b)
+    model_a, model_b = monomial_powers(pairs_a), monomial_powers(pairs_b)
+    assert (a == b) == (model_a == model_b)
+    if model_a == model_b:
+        assert hash(a) == hash(b)
+    assert a == Monomial(model_a)
+    assert tuple(a.items()) == tuple(sorted(model_a.items()))
+    for var in range(1, 9):
+        assert a.exponent(var) == model_a.get(var, 0)
+    assert a.degree == sum(model_a.values())
+    assert a.vector(6) == tuple(model_a.get(v, 0) for v in range(1, 7))
+    assert Monomial.from_vector(a.vector(6)) == a
+    product_model = monomial_powers([*model_a.items(), *model_b.items()])
+    assert a * b == Monomial(product_model)
+    assert tuple((a * b).items()) == tuple(sorted(product_model.items()))
+    assert str(a) == monomial_text(model_a)
+    assert repr(a) == f"Monomial({tuple(sorted(model_a.items()))!r})"
+
+
+def test_monomial_error_messages():
+    with pytest.raises(ValueError, match=r"^variable index must be >= 1, got 0$"):
+        Monomial({0: 1})
+    with pytest.raises(ValueError, match=r"^exponent must be nonnegative, got -2$"):
+        Monomial([(3, -2)])
+    with pytest.raises(ValueError, match=r"^exponent must be nonnegative, got -1$"):
+        Monomial.from_vector((2, 0, -1))
+    m = Monomial({2: 1, 5: 2, 7: 1})
+    with pytest.raises(ValueError, match=r"^variable x5 does not fit in 3 variables$"):
+        m.vector(3)
+
+
+def _check_moved(out, w):
+    assert out == LabelledAbacus(out.slots)
+    assert isinstance(out.slots, tuple)
+    assert out.n_beads == w.n_beads
+    assert out.slots[-1] != 0
+
+
+@given(abacus_st(), st.integers(1, 4))
+def test_moves_build_valid_trimmed_abaci(w, r):
+    for bead in range(1, w.n_beads + 1):
+        out = w.r_move(bead, r)
+        if isinstance(out, LabelledAbacus):
+            _check_moved(out, w)
+        y = w.position(bead)
+        if y >= r and not w.slot(y - r):
+            _check_moved(w.left_r_move(bead, r), w)
+        for other in range(bead + 1, w.n_beads + 1):
+            _check_moved(w.swap(bead, other), w)
+
+
+@pytest.mark.parametrize("lam", [Partition(), Partition((2, 1)), Partition((3, 3, 1))])
+def test_all_abaci_matches_from_positions(lam):
+    n = max(len(lam), 4)
+    positions = bead_positions(lam, n)
+    expected = {
+        LabelledAbacus.from_positions(zip(positions, perm))
+        for perm in itertools.permutations(range(1, n + 1))
+    }
+    assert set(all_abaci(lam, n)) == expected

@@ -266,6 +266,21 @@ def test_usage_errors_exit_1(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sgn", "--outer", "1", "--inner", "2", "--r", "1"),
+         "(2) is not contained in (1)"),
+        (("trace", "--canonical", "--mu", "2,1", "--N", "1", "--beta", "0", "--r", "1"),
+         "(2,1) needs at least 2 beads, got 1"),
+        (("trace", "--abacus", "0:1,0:2", "--beta", "0,0", "--r", "1"),
+         "two beads on slot 0"),
+    ],
+)
+def test_input_errors_print_the_library_message(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_symbolic_guard_points_cli_users_at_modular_mode(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--mu", "", "--r", "3", "--m", "3", "--N", "9"
