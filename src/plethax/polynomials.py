@@ -3,8 +3,10 @@ and modular evaluation.
 
 This module is the reference side of every identity check in the package:
 it expands complete homogeneous sums, power-sum substitutions and the
-determinants det(x_i^{b_j}) directly, without touching the strip or abacus
-machinery, so agreement between the two routes is meaningful.
+determinants det(x_i^{b_j}) directly, and straightens products of an
+alternant with a symmetric polynomial into the alternant basis, without
+touching the strip or abacus machinery, so agreement between the two
+routes is meaningful.
 
 Everything is exact.  Coefficients are Python ints; the modular path exists
 only to evaluate determinants too large to expand, at seeded points modulo
@@ -204,8 +206,8 @@ def h_poly(m: int, n_vars: int) -> SparsePolynomial:
     """Complete homogeneous sum of degree m: one term per exponent vector."""
     if m < 1:
         raise ValueError(f"degree must be positive, got {m}")
-    return SparsePolynomial(
-        n_vars, ((c, 1) for c in compositions(m, n_vars))
+    return SparsePolynomial._unchecked(
+        n_vars, dict.fromkeys(compositions(m, n_vars), 1)
     )
 
 
@@ -256,6 +258,25 @@ def _permutation_signs(n: int) -> tuple[int, ...]:
     return tuple(permutation_sign(p) for p in permutations(range(n)))
 
 
+def alternant_guard(n_vars: int, max_vars: int) -> None:
+    """Raise GuardError when n_vars is past the exact alternant routes'
+    guard of max_vars variables."""
+    if n_vars > max_vars:
+        raise GuardError(
+            f"{n_vars}-variable alternant is past the guard ({max_vars})",
+            f"pass max_vars={n_vars} to force the symbolic expansion",
+        )
+
+
+def _alternant_exponents(beta, max_vars: int) -> tuple[int, ...]:
+    """beta as a tuple of nonnegative ints, within the max_vars guard."""
+    beta = tuple(int(b) for b in beta)
+    if any(b < 0 for b in beta):
+        raise ValueError(f"exponents must be nonnegative: {beta}")
+    alternant_guard(len(beta), max_vars)
+    return beta
+
+
 def a_beta(beta, max_vars: int = 8) -> SparsePolynomial:
     """The alternant det(x_i^{beta_j}) expanded as a signed sum over
     permutations of beta.
@@ -263,20 +284,44 @@ def a_beta(beta, max_vars: int = 8) -> SparsePolynomial:
     Zero when beta has a repeated entry.  Guarded at max_vars variables
     (the expansion has n! terms); pass a bigger max_vars deliberately.
     """
-    beta = tuple(int(b) for b in beta)
+    beta = _alternant_exponents(beta, max_vars)
     n = len(beta)
-    if any(b < 0 for b in beta):
-        raise ValueError(f"exponents must be nonnegative: {beta}")
-    if n > max_vars:
-        raise GuardError(
-            f"{n}-variable alternant is past the guard ({max_vars})",
-            f"pass max_vars={n} to force the symbolic expansion",
-        )
     if len(set(beta)) < n:
         return SparsePolynomial.zero(n)
     return SparsePolynomial._unchecked(
         n, dict(zip(permutations(beta), _permutation_signs(n)))
     )
+
+
+def straighten_product(beta, f: SparsePolynomial, max_vars: int = 8) -> dict:
+    """a_beta * f for a symmetric f, in the alternant basis.
+
+    Returns {v: c} with every v strictly decreasing and every c nonzero, so
+    that a_beta * f == sum of c * a_v.  Each term c_a x^a of f contributes
+    c_a * a_{beta+a} (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.3), and a_{beta+a} is sorted into decreasing order: zero on a repeated
+    entry, else the sign of the sorting permutation times a_v.  No monomial
+    of the n!-term alternants is built; each a_v stands for n! of them, with
+    disjoint supports for distinct v.  f is not checked for symmetry.  The
+    guard is a_beta's, so both exact routes trip at the same size.
+    """
+    beta = _alternant_exponents(beta, max_vars)
+    n = len(beta)
+    if f.n_vars != n:
+        raise ValueError(f"f has {f.n_vars} variables, beta has {n} entries")
+    out: dict[tuple[int, ...], int] = {}
+    for exps, coeff in f.terms.items():
+        v = tuple(map(add, beta, exps))
+        if len(set(v)) < n:
+            continue
+        order = sorted(range(n), key=v.__getitem__, reverse=True)
+        key = tuple(v[i] for i in order)
+        c = out.get(key, 0) + permutation_sign(order) * coeff
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
 
 
 @dataclass(frozen=True, slots=True)

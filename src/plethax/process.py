@@ -174,7 +174,9 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
             alpha[bead - 1] -= 1
             remaining -= 1
             v = moved
-            top = v.support().index(i + r) + 1
+            # Rank of the landing slot: 1 + the beads to its right.
+            right = v.slots[i + r + 1:]
+            top = 1 + len(right) - right.count(0)
             # Completed runs realise the strictly-increasing-source /
             # weakly-decreasing-top pattern that indexes move sequences.
             if not (i > last_source and top <= last_top):

@@ -7,7 +7,14 @@ the package uses, so the two routes fail independently.
 
 from itertools import combinations
 
-from plethax import Partition, SkewPartition, is_border_strip, partitions_of, strip_sign
+from plethax import (
+    Partition,
+    SkewPartition,
+    a_beta,
+    is_border_strip,
+    partitions_of,
+    strip_sign,
+)
 
 
 def subpartitions(lam: Partition):
@@ -132,3 +139,9 @@ def monomial_text(powers: dict[int, int]) -> str:
     return " ".join(
         f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in sorted(powers.items())
     )
+
+
+def naive_alternant_product(beta, f) -> dict[tuple[int, ...], int]:
+    """Terms of a_beta * f with every monomial written out: the n! terms
+    of the alternant times each term of f, with no guard on n."""
+    return (a_beta(beta, max_vars=len(beta)) * f).terms

@@ -352,3 +352,18 @@ def test_console_script_is_installed(tmp_path):
     done = run("expand")
     assert done.returncode == 1
     assert done.stderr.startswith("error:")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "plethax", "expand", "--mu", "", "--r", "2", "--m", "2"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "s[4] - s[3,1] + s[2,2]\n", ""
+    )

@@ -2,21 +2,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import single_strip_rule, young_rule
+from oracles import naive_alternant_product, single_strip_rule, young_rule
 from plethax import expansion
 from plethax import (
     Partition,
     SchurExpansion,
     SparsePolynomial,
     a_beta,
+    h_poly,
     p_poly,
     partitions_of,
     pmn_expand,
     pmn_expand_iterated,
+    plethysm_pr,
     shifted_beta,
     verify_against_oracle,
     verify_process_identity,
 )
+from plethax.polynomials import GuardError
 
 
 def test_schur_expansion_drops_zeros_and_merges():
@@ -210,6 +213,64 @@ def test_verify_symbolic_reports_first_discrepancy(monkeypatch):
     assert not report.ok
     assert (report.terms, report.seed, report.points) == (3, None, 0)
     assert report.detail == "first discrepancy: coefficient 2 on exponents (7, 2, 1, 0)"
+
+
+def test_exact_route_past_the_guard_agrees_with_modular(monkeypatch):
+    cases = [
+        (mu, r, m, n)
+        for size in range(4)
+        for mu in partitions_of(size)
+        for r in range(1, 5)
+        for m in range(1, 4)
+        for n in (size + r * m, size + r * m + 2)
+    ]
+    assert len(cases) == 168 and max(n for *_, n in cases) == 17
+    for flipped in (False, True):
+        if flipped:
+            monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
+        for mu, r, m, n in cases:
+            for mode in ("symbolic", "modular"):
+                report = verify_against_oracle(
+                    mu, r, m, n, mode=mode, points=3, max_vars=24
+                )
+                assert report.ok != flipped, (mode, report)
+
+
+def _double_every_term(real):
+    def doubled(mu, r, m):
+        return SchurExpansion([(lam, 2 * c) for lam, c in real(mu, r, m).items()])
+
+    return doubled
+
+
+@pytest.mark.parametrize("perturb", [None, _flip_first_sign, _drop_first_term, _double_every_term])
+@pytest.mark.parametrize(
+    "mu,r,m,n",
+    [(Partition(), 2, 2, 4), (Partition((1,)), 1, 3, 5), (Partition((2, 1)), 2, 1, 6)],
+)
+def test_verify_symbolic_detail_matches_full_monomial_expansion(monkeypatch, perturb, mu, r, m, n):
+    """The report reads as if both sides were multiplied out monomial by monomial."""
+    if perturb is not None:
+        monkeypatch.setattr(expansion, "pmn_expand", perturb(pmn_expand))
+    lhs = SparsePolynomial(
+        n, naive_alternant_product(shifted_beta(mu.parts, n), plethysm_pr(h_poly(m, n), r))
+    )
+    diff = lhs
+    for lam, c in expansion.pmn_expand(mu, r, m).items():
+        diff = diff - a_beta(shifted_beta(lam.parts, n)).scale(c)
+    report = verify_against_oracle(mu, r, m, n, mode="symbolic")
+    if diff.is_zero:
+        assert perturb is None
+        assert report.detail == f"exact match on {len(lhs.terms)} monomials"
+    else:
+        exps, coeff = diff.sorted_terms()[0]
+        assert report.detail == f"first discrepancy: coefficient {coeff} on exponents {exps}"
+
+
+def test_symbolic_guard_trips_before_building_h_m():
+    # h_20 in 30 variables has C(49, 29) > 10**13 terms.
+    with pytest.raises(GuardError, match="30-variable alternant is past the guard"):
+        verify_against_oracle(Partition(), 1, 20, 30)
 
 
 def test_verify_modular_reports_first_mismatching_point(monkeypatch):

@@ -1,11 +1,13 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import inversion_sign
+from oracles import inversion_sign, naive_alternant_product
 from plethax import (
     EvalPoint,
     SparsePolynomial,
@@ -15,12 +17,14 @@ from plethax import (
     h_eval,
     h_poly,
     p_poly,
+    partitions_of,
     plethysm_pr,
+    polynomials,
     seeded_points,
     shifted_beta,
     staircase,
 )
-from plethax.polynomials import permutation_sign
+from plethax.polynomials import GuardError, permutation_sign, straighten_product
 
 
 @st.composite
@@ -217,3 +221,100 @@ def test_evaluate_rejects_wrong_arity():
 def test_permutation_sign_matches_brute_force_inversion_count(n):
     for perm in itertools.permutations(range(n)):
         assert permutation_sign(perm) == inversion_sign(perm)
+
+
+@st.composite
+def symmetric_st(draw, n_vars):
+    """h_m[p_r], or a product of one to three power sums, in n_vars variables."""
+    if draw(st.booleans()):
+        return plethysm_pr(h_poly(draw(st.integers(1, 3)), n_vars), draw(st.integers(1, 3)))
+    f = p_poly(draw(st.integers(1, 3)), n_vars)
+    for r in draw(st.lists(st.integers(1, 3), max_size=2)):
+        f = f * p_poly(r, n_vars)
+    return f
+
+
+@given(st.data())
+def test_straighten_product_matches_naive_product(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    beta = data.draw(st.tuples(*[st.integers(0, 7)] * n), label="beta")
+    f = data.draw(symmetric_st(n), label="f")
+    naive = naive_alternant_product(beta, f)
+    straight = straighten_product(beta, f)
+
+    assert all(
+        list(v) == sorted(set(v), reverse=True) and c for v, c in straight.items()
+    )
+    total = SparsePolynomial.zero(n)
+    for v, c in straight.items():
+        total = total + a_beta(v).scale(c)
+    assert total.terms == naive
+    assert len(naive) == math.factorial(n) * len(straight)
+
+    # Perturb one coefficient of the right-hand side, on a vector of the
+    # product or on a new decreasing vector of the same degree.
+    extra = sum(beta) + sum(next(iter(f.terms))) - n * (n - 1) // 2
+    candidates = list(straight)
+    if extra >= 0:
+        lam = data.draw(st.sampled_from(list(partitions_of(extra, max_length=n))), label="lam")
+        candidates.append(shifted_beta(lam.parts, n))
+    if not candidates:
+        return
+    v = data.draw(st.sampled_from(candidates), label="v")
+    rhs = dict(straight)
+    rhs[v] = rhs.get(v, 0) + data.draw(st.sampled_from([-2, -1, 1, 3]), label="delta")
+    naive_rhs = SparsePolynomial.zero(n)
+    for w, c in rhs.items():
+        naive_rhs = naive_rhs + a_beta(w).scale(c)
+    naive_diff = SparsePolynomial(n, naive) - naive_rhs
+    diff = {
+        w: straight.get(w, 0) - rhs.get(w, 0)
+        for w in set(straight) | set(rhs)
+        if straight.get(w, 0) != rhs.get(w, 0)
+    }
+    first = min(diff, key=lambda w: w[::-1])
+    assert naive_diff.sorted_terms()[0] == (first, diff[first])
+
+
+def test_straighten_product_golden():
+    # a_{(2,1,0)} * p_2 = a_{(4,1,0)} - a_{(2,3,0)} + a_{(2,1,2)}
+    #                   = a_{(4,1,0)} - a_{(3,2,0)}; the last has a repeat.
+    assert straighten_product((2, 1, 0), p_poly(2, 3)) == {(4, 1, 0): 1, (3, 2, 0): -1}
+    # Unsorted beta straightens too: a_{(0,1,2)} = -a_{(2,1,0)}.
+    assert straighten_product((0, 1, 2), p_poly(2, 3)) == {(4, 1, 0): -1, (3, 2, 0): 1}
+    assert straighten_product((1, 1, 0), h_poly(2, 3)) == {}
+    assert straighten_product((), SparsePolynomial(0, {(): 5})) == {(): 5}
+
+
+def test_straighten_product_shares_the_alternant_guard():
+    beta = staircase(9)
+    f = h_poly(1, 9)
+    with pytest.raises(GuardError) as straight:
+        straighten_product(beta, f)
+    with pytest.raises(GuardError) as alternant:
+        a_beta(beta)
+    assert str(straight.value) == str(alternant.value) == (
+        "9-variable alternant is past the guard (8); "
+        "pass max_vars=9 to force the symbolic expansion"
+    )
+    assert straighten_product(beta, f, max_vars=9) == {(9, 7, 6, 5, 4, 3, 2, 1, 0): 1}
+    with pytest.raises(ValueError, match="f has 3 variables, beta has 2 entries"):
+        straighten_product((1, 0), p_poly(1, 3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        straighten_product((1, -1), p_poly(1, 2))
+
+
+def test_polynomials_imports_nothing_from_plethax():
+    """The oracle module stays independent of the code it checks."""
+    tree = ast.parse(Path(polynomials.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert imported
+    assert not [
+        name for name in imported
+        if name.startswith(".") or name.split(".")[0] == "plethax"
+    ]
