@@ -259,8 +259,8 @@ def test_verify_symbolic_detail_matches_full_monomial_expansion(monkeypatch, per
     for lam, c in expansion.pmn_expand(mu, r, m).items():
         diff = diff - a_beta(shifted_beta(lam.parts, n)).scale(c)
     report = verify_against_oracle(mu, r, m, n, mode="symbolic")
+    assert diff.is_zero == (perturb is None) == report.ok
     if diff.is_zero:
-        assert perturb is None
         assert report.detail == f"exact match on {len(lhs.terms)} monomials"
     else:
         exps, coeff = diff.sorted_terms()[0]

@@ -277,8 +277,9 @@ def test_straighten_product_matches_naive_product(data):
 
 
 def test_straighten_product_golden():
-    # a_{(2,1,0)} * p_2 = a_{(4,1,0)} - a_{(2,3,0)} + a_{(2,1,2)}
-    #                   = a_{(4,1,0)} - a_{(3,2,0)}; the last has a repeat.
+    # a_{(2,1,0)} * p_2 = a_{(4,1,0)} + a_{(2,3,0)} + a_{(2,1,2)}
+    #                   = a_{(4,1,0)} - a_{(3,2,0)}: sorting (2,3,0) takes
+    #                   one swap, and (2,1,2) has a repeated entry.
     assert straighten_product((2, 1, 0), p_poly(2, 3)) == {(4, 1, 0): 1, (3, 2, 0): -1}
     # Unsorted beta straightens too: a_{(0,1,2)} = -a_{(2,1,0)}.
     assert straighten_product((0, 1, 2), p_poly(2, 3)) == {(4, 1, 0): -1, (3, 2, 0): 1}
