@@ -236,6 +236,12 @@ def verify_process_identity(
     chain sign on every image, and their signed weights must regroup into
     the signed abacus sums of those shapes.
 
+    Each pair's process is run once by enumerate_pairs, and epsilon once
+    per aborted pair.  Every partner must itself be an enumerated aborted
+    pair, so the involution is checked by lookup: a pair whose partner is
+    still open closes it if the partner maps back, and any pair left open
+    at the end has no partner mapping back to it.
+
     Support shapes with more rows than beads cannot occur as images (a shape
     on n_beads beads has at most n_beads rows) and contribute nothing in
     n_beads variables, so they are left out of the bijection targets.
@@ -254,10 +260,16 @@ def verify_process_identity(
         aborted: dict[Monomial, int] = {}
         unmatched: dict[Monomial, int] = {}
         images: dict[Partition, set] = {}
+        # Aborted pairs whose partner has not come up yet, keyed by
+        # (slots, budget entries), with the key of that partner.
+        open_pairs: dict[tuple, tuple] = {}
+        w_signed = None
         for w, beta, trace in enumerate_pairs(mu, n_beads, r, m):
             n_pairs += 1
             weight = weight_with_budget(w, beta, r)
-            sign = w.sign()
+            # enumerate_pairs yields each labelling for all budgets in a row.
+            if w is not w_signed:
+                w_signed, sign = w, w.sign()
             if trace.successful:
                 n_completed += 1
                 unmatched[weight] = unmatched.get(weight, 0) + sign
@@ -281,8 +293,13 @@ def verify_process_identity(
                     return "partner does not reverse sign"
                 if weight_with_budget(w2, beta2, r) != weight:
                     return "partner changes the weight"
-                if epsilon(w2, beta2, r) != (w, beta):
+                key, partner = (w.slots, beta.entries), (w2.slots, beta2.entries)
+                if partner not in open_pairs:
+                    open_pairs[key] = partner
+                elif open_pairs.pop(partner) != key:
                     return "pairing is not an involution"
+        if open_pairs:
+            return "pairing is not an involution"
         if any(aborted.values()):
             return "aborted pairs do not cancel"
         for lam, c in sign_of.items():

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .abacus import Collision, LabelledAbacus, Monomial, all_abaci
+from .abacus import LabelledAbacus, Monomial, all_abaci
 from .partitions import Partition, SkewPartition, r_decompose
 from .polynomials import compositions
 
@@ -52,6 +52,13 @@ class Composition:
         if any(e < 0 for e in self.entries):
             raise ValueError(f"move counts must be nonnegative: {self.entries}")
 
+    @classmethod
+    def _unchecked(cls, entries: tuple[int, ...]) -> "Composition":
+        """Wrap a tuple of nonnegative ints as is."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
+
     @property
     def total(self) -> int:
         return sum(self.entries)
@@ -72,8 +79,14 @@ class Composition:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
 
 
-def _composition(beta) -> Composition:
-    return beta if isinstance(beta, Composition) else Composition(tuple(beta))
+def _composition(beta, n_beads: int) -> Composition:
+    """Coerce a budget and check it has one entry per bead."""
+    beta = beta if isinstance(beta, Composition) else Composition(tuple(beta))
+    if len(beta.entries) != n_beads:
+        raise ValueError(
+            f"budget has {len(beta.entries)} entries for {n_beads} beads"
+        )
+    return beta
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,53 +142,60 @@ class ProcessTrace:
 def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     """Scan the runner and spend the budget; returns the full ProcessTrace.
 
-    With record_steps=False the steps tuple is left empty (the outcome and
-    the move bookkeeping are unchanged), which the bulk sweeps rely on.
+    The scan runs on one mutable list of slots, padded to the farthest slot
+    a bead can reach, so a move is two writes and the landing test is one
+    lookup.  Abaci are built only for recorded steps and for the final
+    abacus of a completed run.  With record_steps=False the steps tuple is
+    left empty (the outcome and the move bookkeeping are unchanged), which
+    the bulk sweeps rely on.
     """
-    beta = _composition(beta)
-    if len(beta) != w.n_beads:
-        raise ValueError(
-            f"budget has {len(beta)} entries for {w.n_beads} beads"
-        )
+    beta = _composition(beta, w.n_beads)
     if r < 1:
         raise ValueError(f"shift distance must be positive, got {r}")
 
     alpha = list(beta.entries)
     remaining = sum(alpha)
-    steps: list[ProcessStep] = []
-    v = w
     if remaining == 0:
-        return ProcessTrace(w, beta, r, (), Successful(v))
+        return ProcessTrace(w, beta, r, (), Successful(w))
 
+    # Each move shifts one bead r slots, so no bead passes slot `limit`.
+    limit = len(w.slots) - 1 + r * remaining
+    slots = list(w.slots) + [0] * (limit + 1 - len(w.slots))
+    steps: list[ProcessStep] = []
     last_source = -1
     last_top = w.n_beads + 1
-    limit = max(w.support(), default=0) + r * remaining
-    i = 0
-    while i <= limit:
-        bead = v.slot(i)
+    for i in range(limit + 1):
+        bead = slots[i]
         if bead == 0:
             if record_steps:
-                steps.append(ProcessStep(i, 0, "skip-empty", v, tuple(alpha)))
+                steps.append(
+                    ProcessStep(i, 0, "skip-empty", _abacus(w, slots), tuple(alpha))
+                )
         elif alpha[bead - 1] == 0:
             if record_steps:
                 steps.append(
-                    ProcessStep(i, bead, "skip-exhausted", v, tuple(alpha))
+                    ProcessStep(
+                        i, bead, "skip-exhausted", _abacus(w, slots), tuple(alpha)
+                    )
                 )
         else:
-            moved = v.r_move(bead, r)
-            if isinstance(moved, Collision):
+            blocker = slots[i + r]
+            if blocker:
                 if record_steps:
                     steps.append(
-                        ProcessStep(i, bead, "collided", v, tuple(alpha))
+                        ProcessStep(
+                            i, bead, "collided", _abacus(w, slots), tuple(alpha)
+                        )
                     )
                 return ProcessTrace(
-                    w, beta, r, tuple(steps), Unsuccessful(bead, moved.blocker, i)
+                    w, beta, r, tuple(steps), Unsuccessful(bead, blocker, i)
                 )
+            slots[i] = 0
+            slots[i + r] = bead
             alpha[bead - 1] -= 1
             remaining -= 1
-            v = moved
             # Rank of the landing slot: 1 + the beads to its right.
-            right = v.slots[i + r + 1:]
+            right = slots[i + r + 1:]
             top = 1 + len(right) - right.count(0)
             # Completed runs realise the strictly-increasing-source /
             # weakly-decreasing-top pattern that indexes move sequences.
@@ -184,12 +204,21 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
             last_source, last_top = i, top
             if record_steps:
                 steps.append(
-                    ProcessStep(i, bead, "moved", v, tuple(alpha), strip_top=top)
+                    ProcessStep(
+                        i, bead, "moved", _abacus(w, slots), tuple(alpha),
+                        strip_top=top,
+                    )
                 )
             if remaining == 0:
-                return ProcessTrace(w, beta, r, tuple(steps), Successful(v))
-        i += 1
+                return ProcessTrace(
+                    w, beta, r, tuple(steps), Successful(_abacus(w, slots))
+                )
     raise RuntimeError("scan passed every bead with budget left")
+
+
+def _abacus(w: LabelledAbacus, slots: list[int]) -> LabelledAbacus:
+    """w's beads placed as on the scan's slot list, padding trimmed."""
+    return w._placed(range(len(slots)), slots)
 
 
 def epsilon(w: LabelledAbacus, beta, r: int):
@@ -199,9 +228,11 @@ def epsilon(w: LabelledAbacus, beta, r: int):
     Returns (abacus, composition).  The partner aborts at the same scan
     position with the same two beads, has opposite sign and the same
     combined weight, and epsilon applied twice gives back the input.
-    Raises ValueError on pairs whose run completes.
+    Raises ValueError on pairs whose run completes.  Each call runs the
+    process once; verify_process_identity calls it once per aborted pair
+    and checks that it maps back by looking the partner's own partner up.
     """
-    beta = _composition(beta)
+    beta = _composition(beta, w.n_beads)
     trace = run_process(w, beta, r, record_steps=False)
     if trace.successful:
         raise ValueError("epsilon is defined only for aborted pairs")
@@ -213,7 +244,7 @@ def epsilon(w: LabelledAbacus, beta, r: int):
     entries[blocker - 1] += delta
     if delta <= 0 or rest or entries[bead - 1] < 0:
         raise RuntimeError(f"collision of beads {bead} and {blocker} has no partner")
-    return w.swap(bead, blocker), Composition(tuple(entries))
+    return w.swap(bead, blocker), Composition._unchecked(tuple(entries))
 
 
 def psi(w: LabelledAbacus, beta, r: int) -> LabelledAbacus:
@@ -234,7 +265,7 @@ def enumerate_pairs(mu: Partition, n_beads: int, r: int, m: int):
     _check_budget(factorial(n_beads) * comb(m + n_beads - 1, n_beads - 1), "pairs")
     for w in all_abaci(mu, n_beads, max_beads=n_beads):
         for entries in compositions(m, n_beads):
-            beta = Composition(entries)
+            beta = Composition._unchecked(entries)
             yield w, beta, run_process(w, beta, r, record_steps=False)
 
 
@@ -275,4 +306,10 @@ def weight_with_budget(
     w: LabelledAbacus, beta, r: int
 ) -> Monomial:
     """The invariant the process conserves: weight(w) times x^(r * beta)."""
-    return w.weight() * Monomial.from_vector(tuple(r * e for e in _composition(beta)))
+    beta = _composition(beta, w.n_beads)
+    return Monomial.from_vector(
+        [
+            w.slots.index(label) + r * e
+            for label, e in enumerate(beta.entries, start=1)
+        ]
+    )

@@ -2,14 +2,23 @@
 
 Everything here works cell by cell on Young diagrams and by exhaustive
 search over partitions, deliberately avoiding the bead-position shortcuts
-the package uses, so the two routes fail independently.
+the package uses, so the two routes fail independently.  The two
+exceptions are references for faster package code: naive_alternant_product
+multiplies every monomial out, and scan_by_r_move runs the bead-scanning
+process on immutable abaci, one r_move per move.
 """
 
 from itertools import combinations
 
 from plethax import (
+    Collision,
+    Composition,
     Partition,
+    ProcessStep,
+    ProcessTrace,
     SkewPartition,
+    Successful,
+    Unsuccessful,
     a_beta,
     is_border_strip,
     partitions_of,
@@ -145,3 +154,63 @@ def naive_alternant_product(beta, f) -> dict[tuple[int, ...], int]:
     """Terms of a_beta * f with every monomial written out: the n! terms
     of the alternant times each term of f, with no guard on n."""
     return (a_beta(beta, max_vars=len(beta)) * f).terms
+
+
+def scan_by_r_move(w, beta, r: int, record_steps: bool = True) -> ProcessTrace:
+    """The bead-scanning process one immutable abacus per move: each move is
+    LabelledAbacus.r_move, and every step records the abacus it reached."""
+    beta = beta if isinstance(beta, Composition) else Composition(tuple(beta))
+    if len(beta) != w.n_beads:
+        raise ValueError(
+            f"budget has {len(beta)} entries for {w.n_beads} beads"
+        )
+    if r < 1:
+        raise ValueError(f"shift distance must be positive, got {r}")
+
+    alpha = list(beta.entries)
+    remaining = sum(alpha)
+    steps = []
+    v = w
+    if remaining == 0:
+        return ProcessTrace(w, beta, r, (), Successful(v))
+
+    last_source = -1
+    last_top = w.n_beads + 1
+    limit = max(w.support(), default=0) + r * remaining
+    i = 0
+    while i <= limit:
+        bead = v.slot(i)
+        if bead == 0:
+            if record_steps:
+                steps.append(ProcessStep(i, 0, "skip-empty", v, tuple(alpha)))
+        elif alpha[bead - 1] == 0:
+            if record_steps:
+                steps.append(
+                    ProcessStep(i, bead, "skip-exhausted", v, tuple(alpha))
+                )
+        else:
+            moved = v.r_move(bead, r)
+            if isinstance(moved, Collision):
+                if record_steps:
+                    steps.append(
+                        ProcessStep(i, bead, "collided", v, tuple(alpha))
+                    )
+                return ProcessTrace(
+                    w, beta, r, tuple(steps), Unsuccessful(bead, moved.blocker, i)
+                )
+            alpha[bead - 1] -= 1
+            remaining -= 1
+            v = moved
+            right = v.slots[i + r + 1:]
+            top = 1 + len(right) - right.count(0)
+            if not (i > last_source and top <= last_top):
+                raise RuntimeError(f"move from slot {i} breaks the scan order")
+            last_source, last_top = i, top
+            if record_steps:
+                steps.append(
+                    ProcessStep(i, bead, "moved", v, tuple(alpha), strip_top=top)
+                )
+            if remaining == 0:
+                return ProcessTrace(w, beta, r, tuple(steps), Successful(v))
+        i += 1
+    raise RuntimeError("scan passed every bead with budget left")

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from oracles import naive_alternant_product, single_strip_rule, young_rule
 from plethax import expansion
 from plethax import (
+    Composition,
+    LabelledAbacus,
     Partition,
     SchurExpansion,
     SparsePolynomial,
@@ -307,3 +309,71 @@ def test_verify_process_reports_partner_keeping_sign(monkeypatch):
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
     assert report.detail == "partner does not reverse sign"
+
+
+def _epsilon_except(pair, partner):
+    """epsilon with the partner of one pair replaced."""
+    real = expansion.epsilon
+
+    def patched(w, beta, r):
+        return partner if (w, beta) == pair else real(w, beta, r)
+
+    return patched
+
+
+def test_verify_process_reports_partner_not_mapping_back(monkeypatch):
+    # (321, (0,0,2)) and (213, (1,1,0)) share sign +1 and their weight; the
+    # partner of the second, (123, (2,0,0)), is handed to the first as well.
+    monkeypatch.setattr(
+        expansion,
+        "epsilon",
+        _epsilon_except(
+            (LabelledAbacus((3, 2, 1)), Composition((0, 0, 2))),
+            (LabelledAbacus((1, 2, 3)), Composition((2, 0, 0))),
+        ),
+    )
+    report = verify_process_identity(Partition(), 1, 2, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (8, 7, 1)
+    assert report.detail == "pairing is not an involution"
+
+
+@pytest.mark.parametrize(
+    "pair,partner,counts",
+    [
+        # The first pair's own partner (12, (1,1)) comes up fifth and maps
+        # back to a pair that is open with another partner.
+        (
+            (LabelledAbacus((2, 1)), Composition((0, 2))),
+            (LabelledAbacus((0, 1, 2)), Composition((0, 0))),
+            (5, 3, 2),
+        ),
+        # The last pair's own partner (21, (1,1)) came up second, so both
+        # stay open after the last pair.
+        (
+            (LabelledAbacus((1, 2)), Composition((2, 0))),
+            (LabelledAbacus((0, 2, 1)), Composition((0, 0))),
+            (6, 4, 2),
+        ),
+    ],
+)
+def test_verify_process_reports_completed_partner(monkeypatch, pair, partner, counts):
+    """Moving a bead over the other with both its moves spent reverses the
+    sign and keeps the weight, but the partner then completes, so it never
+    comes up among the aborted pairs to map back."""
+    monkeypatch.setattr(expansion, "epsilon", _epsilon_except(pair, partner))
+    report = verify_process_identity(Partition(), 1, 2, 2)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == counts
+    assert report.detail == "pairing is not an involution"
+
+
+def test_verify_process_reports_partner_changing_weight(monkeypatch):
+    real = expansion.epsilon
+    monkeypatch.setattr(
+        expansion, "epsilon", lambda w, beta, r: (real(w, beta, r)[0], beta)
+    )
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
+    assert report.detail == "partner changes the weight"

@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plethax
+from oracles import scan_by_r_move
+from test_abacus import abacus_st
 from plethax import (
     Composition,
     LabelledAbacus,
@@ -266,3 +268,32 @@ def test_package_checks_invariants_without_assert():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert found == [], f"{path.name} asserts on lines {found}"
+
+
+@given(abacus_st(), st.integers(1, 4), st.booleans(), st.data())
+def test_slot_list_scan_matches_r_move_scan(w, r, record_steps, data):
+    """Same steps, step abaci and alphas, strip tops and outcome as the scan
+    that builds one abacus per move."""
+    beta = data.draw(
+        st.lists(st.integers(0, 3), min_size=w.n_beads, max_size=w.n_beads)
+    )
+    trace = run_process(w, beta, r, record_steps)
+    assert trace == scan_by_r_move(w, beta, r, record_steps)
+
+
+def test_scan_order_guard_fires_on_an_undercounted_abacus():
+    """On a consistent abacus a later move lands right of an earlier one and
+    passes no bead the earlier one did not, so strip tops never rise and the
+    guard cannot fire.  An abacus that holds more beads than it counts makes
+    a top exceed the bead count; both scans refuse it the same way."""
+    w = LabelledAbacus.__new__(LabelledAbacus)
+    w.slots, w.n_beads = (1, 0, 2, 3), 1
+    for scan in (run_process, scan_by_r_move):
+        with pytest.raises(RuntimeError, match="move from slot 0 breaks the scan order"):
+            scan(w, (1,), 1)
+
+
+@pytest.mark.parametrize("beta", [(1, 0, 3), (1,)])
+def test_weight_with_budget_rejects_a_budget_of_the_wrong_length(beta):
+    with pytest.raises(ValueError, match=f"budget has {len(beta)} entries for 2 beads"):
+        weight_with_budget(LabelledAbacus((0, 1, 0, 2)), beta, 2)
