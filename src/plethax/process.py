@@ -162,31 +162,27 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     limit = len(w.slots) - 1 + r * remaining
     slots = list(w.slots) + [0] * (limit + 1 - len(w.slots))
     steps: list[ProcessStep] = []
+
+    def record(i, bead, action, top=None):
+        steps.append(
+            ProcessStep(i, bead, action, _abacus(w, slots), tuple(alpha), top)
+        )
+
     last_source = -1
     last_top = w.n_beads + 1
     for i in range(limit + 1):
         bead = slots[i]
         if bead == 0:
             if record_steps:
-                steps.append(
-                    ProcessStep(i, 0, "skip-empty", _abacus(w, slots), tuple(alpha))
-                )
+                record(i, 0, "skip-empty")
         elif alpha[bead - 1] == 0:
             if record_steps:
-                steps.append(
-                    ProcessStep(
-                        i, bead, "skip-exhausted", _abacus(w, slots), tuple(alpha)
-                    )
-                )
+                record(i, bead, "skip-exhausted")
         else:
             blocker = slots[i + r]
             if blocker:
                 if record_steps:
-                    steps.append(
-                        ProcessStep(
-                            i, bead, "collided", _abacus(w, slots), tuple(alpha)
-                        )
-                    )
+                    record(i, bead, "collided")
                 return ProcessTrace(
                     w, beta, r, tuple(steps), Unsuccessful(bead, blocker, i)
                 )
@@ -203,12 +199,7 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
                 raise RuntimeError(f"move from slot {i} breaks the scan order")
             last_source, last_top = i, top
             if record_steps:
-                steps.append(
-                    ProcessStep(
-                        i, bead, "moved", _abacus(w, slots), tuple(alpha),
-                        strip_top=top,
-                    )
-                )
+                record(i, bead, "moved", top)
             if remaining == 0:
                 return ProcessTrace(
                     w, beta, r, tuple(steps), Successful(_abacus(w, slots))
