@@ -15,11 +15,12 @@ from math import factorial
 
 from .abacus import Monomial, all_abaci
 from .partitions import Partition, SkewPartition, enumerate_supersets, sgn_r
-# SparsePolynomial and a_beta are not used here; they stay bound because
-# the benchmark (bench/tracing.py, bench/test_bench.py) reaches them by name
-# in this module.
+# SparsePolynomial, a_beta and a_beta_eval are not used here; they stay
+# bound because the benchmark (bench/tracing.py, bench/test_bench.py)
+# reaches them by name in this module.
 from .polynomials import (  # noqa: F401
     SparsePolynomial,
+    _alternants_at,
     a_beta,
     a_beta_eval,
     alternant_guard,
@@ -182,19 +183,18 @@ def verify_against_oracle(
             detail = f"first discrepancy: coefficient {diff[exps]} on exponents {exps}"
         seed, points = None, 0
     elif mode == "modular":
+        betas = [(shifted_beta(lam.parts, n_vars), c) for lam, c in expansion.items()]
         for index, point in enumerate(seeded_points(n_vars, points, seed)):
             p = point.prime
+            alternant = _alternants_at(point)
             lhs_val = (
-                a_beta_eval(mu_beta, point)
+                alternant(mu_beta)
                 * h_eval([pow(v, r, p) for v in point.values], m, p)
                 % p
             )
             rhs_val = 0
-            for lam, c in expansion.items():
-                rhs_val = (
-                    rhs_val
-                    + c * a_beta_eval(shifted_beta(lam.parts, n_vars), point)
-                ) % p
+            for beta, c in betas:
+                rhs_val = (rhs_val + c * alternant(beta)) % p
             if lhs_val != rhs_val:
                 ok = False
                 detail = (

@@ -9,8 +9,10 @@ touching the strip or abacus machinery, so agreement between the two
 routes is meaningful.
 
 Everything is exact.  Coefficients are Python ints; the modular path exists
-only to evaluate determinants too large to expand, at seeded points modulo
-one fixed prime.
+only to evaluate alternants too large to expand, at seeded points modulo
+one fixed prime.  There each alternant is the Vandermonde determinant times
+a Jacobi-Trudi determinant of at most min(rows, columns) of its shape, over
+e_k and h_k tables built once per point.
 """
 
 import random
@@ -350,16 +352,9 @@ def seeded_points(
     ]
 
 
-def a_beta_eval(beta, point: EvalPoint) -> int:
-    """det(values_i ^ beta_j) modulo the point's prime, by elimination."""
-    beta = tuple(int(b) for b in beta)
-    n = len(beta)
-    if len(point.values) != n:
-        raise ValueError(
-            f"point has {len(point.values)} coordinates, need {n}"
-        )
-    p = point.prime
-    rows = [[pow(v, b, p) for b in beta] for v in point.values]
+def _det_mod(rows: list[list[int]], p: int) -> int:
+    """Determinant of a square matrix modulo p, by elimination in place."""
+    n = len(rows)
     det = 1
     for col in range(n):
         pivot = next((k for k in range(col, n) if rows[k][col]), None)
@@ -379,6 +374,77 @@ def a_beta_eval(beta, point: EvalPoint) -> int:
                 for j in range(col, n):
                     rk[j] = (rk[j] - factor * rc[j]) % p
     return det % p
+
+
+def _alternants_at(point: EvalPoint):
+    """beta -> det(values_i ^ beta_j) modulo the point's prime, for every
+    nonnegative beta with one entry per coordinate.
+
+    Sorting beta into decreasing order costs the sign of the sort (a
+    repeated entry gives 0) and leaves lam + delta.  Then
+    a_{lam+delta} = a_delta * det(h_{lam_i-i+j}) = a_delta * det(e_{lam'_i-i+j})
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3.4-3.5), and
+    the smaller of the two determinants is taken.  The Vandermonde a_delta
+    and e_0..e_N are computed once per point; h_k grows by the recurrence
+    h_k = sum_i (-1)^(i-1) e_i h_(k-i) as far as the largest beta asks.
+    """
+    p = point.prime
+    values = point.values
+    n = len(values)
+    a_delta = 1
+    for i, v in enumerate(values):
+        for u in values[i + 1:]:
+            a_delta = a_delta * (v - u) % p
+    # e_k from the coefficients of prod (1 + v t).
+    e = [1] + [0] * n
+    for v in values:
+        for k in range(n, 0, -1):
+            e[k] = (e[k] + v * e[k - 1]) % p
+    signed_e = [(-1) ** (i - 1) * e[i] for i in range(n + 1)]
+    h = [1]
+
+    def h_at(k):
+        return h[k] if k >= 0 else 0
+
+    def e_at(k):
+        return e[k] if 0 <= k <= n else 0
+
+    def alternant(beta) -> int:
+        beta = tuple(map(int, beta))
+        if len(beta) != n:
+            raise ValueError(f"point has {n} coordinates, need {len(beta)}")
+        if beta and min(beta) < 0:
+            raise ValueError(f"exponents must be nonnegative: {beta}")
+        order = sorted(range(n), key=beta.__getitem__, reverse=True)
+        lam = [beta[j] - (n - 1 - i) for i, j in enumerate(order)]
+        if any(a < b for a, b in zip(lam, lam[1:])):
+            return 0
+        while lam and lam[-1] == 0:
+            lam.pop()
+        width = lam[0] if lam else 0
+        if len(lam) <= width:
+            for k in range(len(h), width + len(lam)):
+                h.append(
+                    sum(signed_e[i] * h[k - i] for i in range(1, min(k, n) + 1)) % p
+                )
+            parts, entry = lam, h_at
+        else:
+            parts = [sum(1 for a in lam if a > j) for j in range(width)]
+            entry = e_at
+        size = len(parts)
+        rows = [
+            [entry(parts[i] - i + j) for j in range(size)] for i in range(size)
+        ]
+        return permutation_sign(order) * a_delta * _det_mod(rows, p) % p
+
+    return alternant
+
+
+def a_beta_eval(beta, point: EvalPoint) -> int:
+    """det(values_i ^ beta_j) modulo the point's prime, as a_delta times a
+    Jacobi-Trudi determinant (see _alternants_at).  Exponents must be
+    nonnegative."""
+    return _alternants_at(point)(beta)
 
 
 def h_eval(values, m: int, prime: int = DEFAULT_PRIME) -> int:

@@ -25,9 +25,18 @@ DEFAULT_PAIR_BUDGET = 10_000_000
 
 
 def pair_budget() -> int:
-    """Enumeration cap; override with the PLETHAX_BUDGET environment variable."""
+    """Enumeration cap; override with the PLETHAX_BUDGET environment variable,
+    which must hold a positive integer."""
     raw = os.environ.get("PLETHAX_BUDGET")
-    return DEFAULT_PAIR_BUDGET if raw is None else int(raw)
+    if raw is None:
+        return DEFAULT_PAIR_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"PLETHAX_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _check_budget(count: int, what: str):
@@ -227,8 +236,14 @@ def epsilon(w: LabelledAbacus, beta, r: int):
     trace = run_process(w, beta, r, record_steps=False)
     if trace.successful:
         raise ValueError("epsilon is defined only for aborted pairs")
-    bead = trace.outcome.bead
-    blocker = trace.outcome.blocker
+    return _partner(w, beta, r, trace.outcome)
+
+
+def _partner(w: LabelledAbacus, beta: Composition, r: int, outcome: Unsuccessful):
+    """epsilon's partner of (w, beta), read off the collision its run ended
+    in, without running the process again."""
+    bead = outcome.bead
+    blocker = outcome.blocker
     delta, rest = divmod(w.position(blocker) - w.position(bead), r)
     entries = list(beta.entries)
     entries[bead - 1] -= delta

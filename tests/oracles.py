@@ -2,9 +2,10 @@
 
 Everything here works cell by cell on Young diagrams and by exhaustive
 search over partitions, deliberately avoiding the bead-position shortcuts
-the package uses, so the two routes fail independently.  The two
+the package uses, so the two routes fail independently.  The three
 exceptions are references for faster package code: naive_alternant_product
-multiplies every monomial out, and scan_by_r_move runs the bead-scanning
+multiplies every monomial out, eliminated_alternant_eval reduces the full
+N x N alternant matrix mod p, and scan_by_r_move runs the bead-scanning
 process on immutable abaci, one r_move per move.
 """
 
@@ -154,6 +155,38 @@ def naive_alternant_product(beta, f) -> dict[tuple[int, ...], int]:
     """Terms of a_beta * f with every monomial written out: the n! terms
     of the alternant times each term of f, with no guard on n."""
     return (a_beta(beta, max_vars=len(beta)) * f).terms
+
+
+def eliminated_alternant_eval(beta, point) -> int:
+    """det(values_i ^ beta_j) modulo the point's prime, by Gaussian
+    elimination on the whole N x N matrix."""
+    beta = tuple(int(b) for b in beta)
+    n = len(beta)
+    if len(point.values) != n:
+        raise ValueError(
+            f"point has {len(point.values)} coordinates, need {n}"
+        )
+    p = point.prime
+    rows = [[pow(v, b, p) for b in beta] for v in point.values]
+    det = 1
+    for col in range(n):
+        pivot = next((k for k in range(col, n) if rows[k][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        lead = rows[col][col]
+        det = det * lead % p
+        inv = pow(lead, -1, p)
+        for k in range(col + 1, n):
+            factor = rows[k][col] * inv % p
+            if factor:
+                rk = rows[k]
+                rc = rows[col]
+                for j in range(col, n):
+                    rk[j] = (rk[j] - factor * rc[j]) % p
+    return det % p
 
 
 def scan_by_r_move(w, beta, r: int, record_steps: bool = True) -> ProcessTrace:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import plethax.cli as cli
+import plethax.process as process
 from plethax import Partition, pmn_expand, pmn_expand_iterated
 from plethax.cli import expansion_from_json, main
 
@@ -142,6 +143,25 @@ def test_trace_unsuccessful_plain(capsys):
     assert "outcome: unsuccessful at i=1: bead 4 collides with bead 1" in lines
     assert lines[-2] == "epsilon abacus: .1.25.46..3"
     assert lines[-1] == "epsilon beta: (1,2,0,0,0,0)"
+
+
+def test_aborted_trace_runs_the_process_once(capsys, monkeypatch):
+    runs = []
+    run = process.run_process
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(process, "run_process", counting)
+    monkeypatch.setattr(cli, "run_process", counting)
+    code, out, _ = run_cli(
+        capsys, "trace", "--abacus", "1:4,3:2,4:5,6:1,7:6,10:3",
+        "--beta", "0,2,0,1,0,0", "--r", "5",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "epsilon beta: (1,2,0,0,0,0)"
+    assert len(runs) == 1
 
 
 def test_trace_canonical(capsys):
@@ -279,6 +299,15 @@ def test_usage_errors_exit_1(capsys, argv):
 )
 def test_input_errors_print_the_library_message(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_bad_pair_budget_names_the_variable(capsys, monkeypatch, raw):
+    monkeypatch.setenv("PLETHAX_BUDGET", raw)
+    assert run_cli(
+        capsys, "verify", "--mu", "", "--r", "1", "--m", "1", "--N", "2",
+        "--mode", "process",
+    ) == (1, "", f"error: PLETHAX_BUDGET must be a positive integer, got '{raw}'\n")
 
 
 def test_symbolic_guard_points_cli_users_at_modular_mode(capsys):

@@ -158,6 +158,35 @@ def test_verify_rejects_bad_arguments():
         verify_against_oracle(Partition(), 1, 1, 1, mode="nonsense")
 
 
+def test_verify_modular_builds_one_table_per_point(monkeypatch):
+    tables, values = [], []
+    build = expansion._alternants_at
+
+    def counting(point):
+        tables.append(point)
+        alternant = build(point)
+
+        def value(beta):
+            values.append(beta)
+            return alternant(beta)
+
+        return value
+
+    monkeypatch.setattr(expansion, "_alternants_at", counting)
+    report = verify_against_oracle(
+        Partition((2, 1)), 3, 2, 9, mode="modular", seed=42, points=6
+    )
+    assert report.ok
+    assert len(tables) == len(set(tables)) == 6
+    assert len(values) == 6 * (report.terms + 1)
+
+
+def test_verify_modular_reaches_24_variables():
+    report = verify_against_oracle(Partition(), 4, 6, 24, mode="modular")
+    assert report.ok, report.detail
+    assert report.detail == "all 20 seeded points agree"
+
+
 @given(
     st.sampled_from([p for s in range(0, 4) for p in partitions_of(s)]),
     st.integers(1, 3),

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import inversion_sign, naive_alternant_product
+from oracles import (
+    eliminated_alternant_eval,
+    inversion_sign,
+    naive_alternant_product,
+)
 from plethax import (
     EvalPoint,
     SparsePolynomial,
@@ -193,6 +197,67 @@ def test_a_beta_eval_matches_symbolic(n, seed, data):
     )
     point = seeded_points(n, 1, seed)[0]
     assert a_beta_eval(beta, point) == a_beta(beta).evaluate(point)
+
+
+@st.composite
+def alternant_case_st(draw):
+    """(beta, point) with N <= 14: beta unsorted, with zeros, shaped both
+    wide and tall, and in about a quarter of the cases with a repeated
+    entry; a point that in about a quarter of the cases repeats a
+    coordinate, and in another quarter has a zero one."""
+    n = draw(st.integers(0, 14))
+    top = draw(st.integers(max(n - 1, 0), 3 * n + 4))
+    beta = draw(st.permutations(range(top + 1)))[:n]
+    values = draw(
+        st.lists(st.integers(1, 2**31 - 2), min_size=n, max_size=n, unique=True)
+    )
+    degenerate = draw(st.sampled_from(["none", "none", "beta", "point", "zero"]))
+    if n >= 2 and degenerate in ("beta", "point"):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if degenerate == "beta":
+            beta[i] = beta[j]
+        else:
+            values[i] = values[j]
+    if n and degenerate == "zero":
+        values[draw(st.integers(0, n - 1))] = 0
+    return tuple(beta), EvalPoint(tuple(values))
+
+
+@given(alternant_case_st())
+def test_a_beta_eval_matches_elimination(case):
+    beta, point = case
+    assert a_beta_eval(beta, point) == eliminated_alternant_eval(beta, point)
+
+
+@pytest.mark.parametrize(
+    "lam, size",
+    [((), 0), ((3,), 1), ((1, 1, 1), 1), ((4, 2, 1), 3), ((2, 1, 1, 1, 1), 2),
+     ((5, 5), 2), ((1,) * 7, 1)],
+)
+def test_a_beta_eval_takes_the_smaller_jacobi_trudi_determinant(
+    monkeypatch, lam, size
+):
+    sizes = []
+    det = polynomials._det_mod
+
+    def recording(rows, p):
+        sizes.append(len(rows))
+        return det(rows, p)
+
+    monkeypatch.setattr(polynomials, "_det_mod", recording)
+    point = seeded_points(8, 1, seed=3)[0]
+    beta = shifted_beta(lam, 8)[::-1]
+    assert a_beta_eval(beta, point) == eliminated_alternant_eval(beta, point)
+    assert sizes == [size]
+
+
+def test_a_beta_eval_rejects_bad_exponents():
+    point = seeded_points(3, 1, seed=0)[0]
+    with pytest.raises(ValueError, match="point has 3 coordinates, need 2"):
+        a_beta_eval((1, 0), point)
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        a_beta_eval((2, -1, 0), point)
+    assert a_beta_eval((), EvalPoint(())) == 1
 
 
 @given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 10**6))

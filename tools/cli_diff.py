@@ -13,7 +13,11 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
 - `verify --mode process`, plain and json, on every case of the
   `verify-process` workload's strata (N <= 5, |mu| <= 3, r, m <= 3);
 - two failing process verifies in each format: the expansion with its
-  first sign flipped, and with its first term dropped.
+  first sign flipped, and with its first term dropped;
+- `verify --mode modular`, plain and json, at seeds 0 and 1 on every case
+  of the `queries` workload's modular space (|mu| <= 3, r <= 4, m <= 3,
+  N from |mu| + r*m to 2 more, N <= 14), and one failing modular verify
+  per format with the expansion's first sign flipped.
 
 Prints the number of requests per kind and every mismatch; exits 1 if any.
 """
@@ -79,13 +83,27 @@ def requests():
         if len(mu) <= n
         for r, m in product((1, 2, 3), repeat=2)
     ]
+    modular = [
+        ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n),
+         "--mode", "modular", "--seed", str(seed)]
+        for size in range(4)
+        for mu in partitions(size)
+        for r in range(1, 5)
+        for m in range(1, 4)
+        for n in range(size + r * m, size + r * m + 3)
+        if n <= 14
+        for seed in (0, 1)
+    ]
     failing = [["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mode", "process"]]
+    failing_modular = ["verify", "--mu", "2,1", "--r", "3", "--m", "2", "--N", "9", "--mode", "modular"]
     out = []
     for fmt in ("plain", "json"):
         out += [("trace", None, argv + ["--format", fmt]) for argv in traces]
         out += [("verify", None, argv + ["--format", fmt]) for argv in verifies]
         for perturbation in ("flip-first-sign", "drop-first-term"):
             out += [("verify", perturbation, argv + ["--format", fmt]) for argv in failing]
+        out += [("verify", None, argv + ["--format", fmt]) for argv in modular]
+        out.append(("verify", "flip-first-sign", failing_modular + ["--format", fmt]))
     return out
 
 
@@ -130,8 +148,9 @@ def main(old_root, new_root):
         if kind == "trace":
             key += " --canonical" * ("--canonical" in argv)
             key += " aborted" if "unsuccessful" in b[1] else " completed"
-        elif perturbation:
-            key += f" {perturbation}"
+        else:
+            key += f" {argv[argv.index('--mode') + 1]}"
+            key += f" {perturbation}" * bool(perturbation)
         counts[key] = counts.get(key, 0) + 1
         if a != b:
             mismatches += 1
