@@ -15,7 +15,7 @@ ignores trailing empty slots.
 from dataclasses import dataclass
 from itertools import permutations, zip_longest
 
-from .partitions import Partition, bead_positions, partition_from_positions
+from .partitions import Partition, _shape_at, bead_positions
 from .polynomials import permutation_sign
 
 
@@ -163,7 +163,7 @@ class LabelledAbacus:
         return permutation_sign([label - 1 for label in self.sigma()])
 
     def shape(self) -> Partition:
-        return partition_from_positions(self.support())
+        return _shape_at(self.support())
 
     def weight(self) -> Monomial:
         """Product over beads of x_label ** position."""

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from math import factorial
 
 from .abacus import Monomial, all_abaci
-from .partitions import Partition, SkewPartition, enumerate_supersets, sgn_r
+from .partitions import (
+    Partition,
+    SkewPartition,
+    _add_strips,
+    _shape_at,
+    bead_positions,
+    enumerate_supersets,
+    sgn_r,
+)
 # SparsePolynomial, a_beta and a_beta_eval are not used here; they stay
 # bound because the benchmark (bench/tracing.py, bench/test_bench.py)
 # reaches them by name in this module.
@@ -98,19 +106,22 @@ def pmn_expand_iterated(mu: Partition, rho: Partition, nu: Partition) -> SchurEx
     """Schur expansion of s_mu * prod_{i,j} (p_{rho_i} o h_{nu_j}).
 
     Factors are applied one at a time in (i, j) lexicographic order; any
-    order gives the same expansion since the factors commute.
+    order gives the same expansion since the factors commute.  The fold runs
+    on bead positions over len(mu) + |rho|*|nu| beads, enough for every
+    factor, and reads off shapes only for the result.
     """
     if len(rho) == 0 or len(nu) == 0:
         raise ValueError("both factor partitions must be non-empty")
-    current: dict[Partition, int] = {mu: 1}
+    n = len(mu) + rho.size * nu.size
+    current = {bead_positions(mu, n): 1}
     for r in rho.parts:
         for m in nu.parts:
-            grown: dict[Partition, int] = {}
-            for lam, c in current.items():
-                for tau, s in enumerate_supersets(lam, r, m):
+            grown: dict[tuple[int, ...], int] = {}
+            for pos, c in current.items():
+                for tau, s in _add_strips(pos, r, m):
                     grown[tau] = grown.get(tau, 0) + c * s
-            current = {lam: c for lam, c in grown.items() if c}
-    return SchurExpansion(current)
+            current = {pos: c for pos, c in grown.items() if c}
+    return SchurExpansion((_shape_at(pos), c) for pos, c in current.items())
 
 
 @dataclass(frozen=True, slots=True)

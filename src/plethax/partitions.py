@@ -36,6 +36,13 @@ class Partition:
                 )
         self.parts = tuple(cleaned)
 
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap a weakly decreasing tuple of positive ints as is."""
+        out = cls.__new__(cls)
+        out.parts = parts
+        return out
+
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -195,9 +202,22 @@ def bead_positions(lam: Partition, n_beads: int) -> tuple[int, ...]:
 
 def partition_from_positions(positions) -> Partition:
     """Recover the partition encoded by a set of distinct runner positions."""
-    desc = sorted(positions, reverse=True)
-    n = len(desc)
-    return Partition(desc[j - 1] - (n - j) for j in range(1, n + 1))
+    given = tuple(int(y) for y in positions)
+    if len(set(given)) != len(given):
+        raise ValueError(f"bead positions must be distinct, got {given}")
+    if any(y < 0 for y in given):
+        raise ValueError(f"bead positions must be nonnegative, got {given}")
+    return _shape_at(sorted(given, reverse=True))
+
+
+def _shape_at(positions) -> Partition:
+    """The shape of strictly decreasing nonnegative positions: row j is
+    positions[j-1] - (n - j), so it is a partition and is not re-checked."""
+    n = len(positions)
+    parts = [y + j for j, y in enumerate(positions, 1 - n)]
+    while parts and not parts[-1]:
+        parts.pop()
+    return Partition._unchecked(tuple(parts))
 
 
 def border_strip_with_top(lam: Partition, r: int, t: int) -> Partition | None:
@@ -217,7 +237,7 @@ def border_strip_with_top(lam: Partition, r: int, t: int) -> Partition | None:
     target = pos[t - 1] - r
     if target < 0 or target in pos:
         return None
-    return partition_from_positions(pos[: t - 1] + (target,) + pos[t:])
+    return _shape_at(sorted(pos[: t - 1] + (target,) + pos[t:], reverse=True))
 
 
 @dataclass(frozen=True)
@@ -316,11 +336,27 @@ def enumerate_supersets(mu: Partition, r: int, m: int) -> list[tuple[Partition, 
     if m == 0:
         return [(mu, 1)]
     n = len(mu) + r * m
-    found: list[tuple[Partition, int]] = []
+    return [
+        (_shape_at(pos), sign)
+        for pos, sign in _add_strips(bead_positions(mu, n), r, m)
+    ]
+
+
+def _add_strips(
+    positions: tuple[int, ...], r: int, m: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """enumerate_supersets on bead positions: the positions of every shape
+    m r-strips above the one at `positions`, with the chain sign, in
+    decreasing lexicographic order (which is the shapes' order too).
+
+    Every shape keeps the bead count len(positions), which must be at least
+    the rows of the starting shape plus r*m, so no strip runs out of beads.
+    """
+    found: list[tuple[tuple[int, ...], int]] = []
 
     def extend(pos: tuple[int, ...], left: int, max_top: int, sign: int):
         if left == 0:
-            found.append((partition_from_positions(pos), sign))
+            found.append((pos, sign))
             return
         posset = set(pos)
         for idx, y in enumerate(pos):
@@ -334,8 +370,8 @@ def enumerate_supersets(mu: Partition, r: int, m: int) -> list[tuple[Partition, 
             newpos = tuple(sorted((posset - {y}) | {target}, reverse=True))
             extend(newpos, left - 1, t, -sign if jumped % 2 else sign)
 
-    extend(bead_positions(mu, n), m, n, 1)
-    if len({lam.parts for lam, _ in found}) != len(found):
+    extend(positions, m, len(positions), 1)
+    if len({pos for pos, _ in found}) != len(found):
         raise RuntimeError("two strip chains reached the same shape")
-    found.sort(key=lambda entry: entry[0].parts, reverse=True)
+    found.sort(reverse=True)
     return found

@@ -27,3 +27,18 @@ def abacus_sign_example():
 def chain_endpoints():
     """Inner and outer shapes joined by three strips of size 5."""
     return Partition((5, 3, 3, 2, 2, 1)), Partition((8, 6, 6, 5, 5, 1))
+
+
+@pytest.fixture
+def checked_partitions(monkeypatch):
+    """A list that grows by one for each Partition built through the
+    checking __init__ from here on in the test."""
+    seen = []
+    init = Partition.__init__
+
+    def counting(self, parts=()):
+        seen.append(None)
+        init(self, parts)
+
+    monkeypatch.setattr(Partition, "__init__", counting)
+    return seen

@@ -2,11 +2,14 @@
 
 Everything here works cell by cell on Young diagrams and by exhaustive
 search over partitions, deliberately avoiding the bead-position shortcuts
-the package uses, so the two routes fail independently.  The three
-exceptions are references for faster package code: naive_alternant_product
+the package uses, so the two routes fail independently.  The exceptions
+are references for faster package code: naive_alternant_product
 multiplies every monomial out, eliminated_alternant_eval reduces the full
-N x N alternant matrix mod p, and scan_by_r_move runs the bead-scanning
-process on immutable abaci, one r_move per move.
+N x N alternant matrix mod p, scan_by_r_move runs the bead-scanning
+process on immutable abaci, one r_move per move, supersets_by_shapes
+checks every shape the strip search reaches as a Partition, and
+iterated_by_shapes folds the factors of an iterated expansion one
+enumerate_supersets call per shape.
 """
 
 from itertools import combinations
@@ -19,8 +22,10 @@ from plethax import (
     ProcessTrace,
     SkewPartition,
     Successful,
+    SchurExpansion,
     Unsuccessful,
     a_beta,
+    enumerate_supersets,
     is_border_strip,
     partitions_of,
     strip_sign,
@@ -247,3 +252,46 @@ def scan_by_r_move(w, beta, r: int, record_steps: bool = True) -> ProcessTrace:
                 return ProcessTrace(w, beta, r, tuple(steps), Successful(v))
         i += 1
     raise RuntimeError("scan passed every bead with budget left")
+
+
+def supersets_by_shapes(mu: Partition, r: int, m: int) -> list[tuple[Partition, int]]:
+    """The strip search of enumerate_supersets with a checked Partition
+    built at every leaf and the shapes sorted by their parts."""
+    if m == 0:
+        return [(mu, 1)]
+    n = len(mu) + r * m
+    found = []
+
+    def extend(pos, left, max_top, sign):
+        if left == 0:
+            found.append((Partition(y - (n - j) for j, y in enumerate(pos, 1)), sign))
+            return
+        posset = set(pos)
+        for idx, y in enumerate(pos):
+            target = y + r
+            if target in posset:
+                continue
+            jumped = sum(1 for q in pos if y < q < target)
+            t = idx + 1 - jumped
+            if t > max_top:
+                continue
+            newpos = tuple(sorted((posset - {y}) | {target}, reverse=True))
+            extend(newpos, left - 1, t, -sign if jumped % 2 else sign)
+
+    extend(tuple(mu.part(j) + n - j for j in range(1, n + 1)), m, n, 1)
+    found.sort(key=lambda entry: entry[0].parts, reverse=True)
+    return found
+
+
+def iterated_by_shapes(mu: Partition, rho: Partition, nu: Partition) -> SchurExpansion:
+    """s_mu * prod (p_{rho_i} o h_{nu_j}), one factor at a time, each factor
+    expanding every shape of the last through enumerate_supersets."""
+    current = {mu: 1}
+    for r in rho.parts:
+        for m in nu.parts:
+            grown = {}
+            for lam, c in current.items():
+                for tau, s in enumerate_supersets(lam, r, m):
+                    grown[tau] = grown.get(tau, 0) + c * s
+            current = {lam: c for lam, c in grown.items() if c}
+    return SchurExpansion(current)

@@ -65,6 +65,12 @@ def test_golden_readings(abacus_533221):
     assert w.slot(6) == 1
 
 
+def test_shape_builds_no_checked_partition(abacus_533221, checked_partitions):
+    shape = abacus_533221.shape()
+    assert checked_partitions == []
+    assert shape == Partition((5, 3, 3, 2, 2, 1))
+
+
 def test_golden_sign_example(abacus_sign_example):
     w = abacus_sign_example
     assert w.sigma() == (2, 3, 1, 4, 6, 5)

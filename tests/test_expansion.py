@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import naive_alternant_product, single_strip_rule, young_rule
+from oracles import (
+    iterated_by_shapes,
+    naive_alternant_product,
+    single_strip_rule,
+    young_rule,
+)
 from plethax import expansion
 from plethax import (
     Composition,
@@ -121,6 +126,27 @@ def test_iterated_factor_order_is_immaterial():
     assert pmn_expand_iterated(
         mu, Partition((2, 1)), Partition((2,))
     ) == SchurExpansion(forward)
+
+
+@st.composite
+def partition_st(draw, min_size, max_size):
+    size = draw(st.integers(min_size, max_size))
+    return draw(st.sampled_from(list(partitions_of(size))))
+
+
+@given(partition_st(0, 3), partition_st(1, 5), partition_st(1, 3))
+def test_iterated_fold_matches_fold_by_shapes(mu, rho, nu):
+    assert (
+        pmn_expand_iterated(mu, rho, nu).items()
+        == iterated_by_shapes(mu, rho, nu).items()
+    )
+
+
+def test_iterated_fold_builds_no_checked_partitions(checked_partitions):
+    mu, rho, nu = Partition(), Partition((3, 2, 1)), Partition((2, 2))
+    assert len(checked_partitions) == 3
+    assert len(pmn_expand_iterated(mu, rho, nu)) == 1207
+    assert len(checked_partitions) == 3
 
 
 def test_iterated_requires_nonempty_factors():

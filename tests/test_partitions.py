@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from oracles import (
     is_horizontal_strip,
     strips_below,
     subpartitions,
+    supersets_by_shapes,
 )
 from plethax import (
     Partition,
@@ -88,6 +91,18 @@ def test_is_border_strip():
     assert not is_border_strip(SkewPartition(Partition((2, 1)), Partition((1,))), 2)
     # vertical domino
     assert is_border_strip(SkewPartition(Partition((1, 1)), Partition()), 2)
+
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        ((3, 3), "bead positions must be distinct, got (3, 3)"),
+        ((2, -1), "bead positions must be nonnegative, got (2, -1)"),
+    ],
+)
+def test_partition_from_positions_names_bad_positions(positions, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        partition_from_positions(positions)
 
 
 @given(partition_st(), st.integers(1, 10))
@@ -222,3 +237,12 @@ def test_enumerate_supersets_is_exact_and_complete(mu, r, m):
     for lam in partitions_of(mu.size + r * m):
         expected = sgn_r(SkewPartition(lam, mu), r) if lam.contains(mu) else 0
         assert listed.get(lam, 0) == expected
+
+
+@pytest.mark.parametrize(
+    "mu", [mu for k in range(6) for mu in partitions_of(k)], ids=str
+)
+def test_enumerate_supersets_matches_checked_shape_search(mu):
+    for r in range(1, 5):
+        for m in range(4):
+            assert enumerate_supersets(mu, r, m) == supersets_by_shapes(mu, r, m)

@@ -17,7 +17,14 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
 - `verify --mode modular`, plain and json, at seeds 0 and 1 on every case
   of the `queries` workload's modular space (|mu| <= 3, r <= 4, m <= 3,
   N from |mu| + r*m to 2 more, N <= 14), and one failing modular verify
-  per format with the expansion's first sign flipped.
+  per format with the expansion's first sign flipped;
+- `expand`, plain, json and latex: iterated on every case of the `queries`
+  workload's iterated space (|mu| <= 2, 2 <= |rho| <= 5 with parts at most
+  3, 1 <= |nu| <= 3, at least two factors), and single for |mu| <= 4,
+  r <= 4, m <= 3;
+- `sgn`, plain, json and latex, with each of those single expansions'
+  mu as inner and r, on every outer of its support (found by the
+  benchmark's own strip search, `bench/checks.py`).
 
 Prints the number of requests per kind and every mismatch; exits 1 if any.
 """
@@ -31,6 +38,9 @@ import subprocess
 import sys
 from itertools import product
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import checks  # noqa: E402
 
 
 def partitions(k, cap=None):
@@ -94,6 +104,25 @@ def requests():
         if n <= 14
         for seed in (0, 1)
     ]
+    iterated = [
+        ["expand", "--mu", text(mu), "--rho", text(rho), "--nu", text(nu)]
+        for k in range(3)
+        for mu in partitions(k)
+        for rho in (lam for size in range(2, 6) for lam in partitions(size, cap=3))
+        for nu in (lam for size in range(1, 4) for lam in partitions(size))
+        if len(rho) * len(nu) >= 2
+    ]
+    singles = [
+        (mu, r, m) for size in range(5) for mu in partitions(size) for r in range(1, 5) for m in range(1, 4)
+    ]
+    expands = iterated + [
+        ["expand", "--mu", text(mu), "--r", str(r), "--m", str(m)] for mu, r, m in singles
+    ]
+    sgns = [
+        ["sgn", "--outer", text(outer), "--inner", text(mu), "--r", str(r)]
+        for mu, r, m in singles
+        for outer in sorted(checks.supersets(mu, r, m), reverse=True)
+    ]
     failing = [["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mode", "process"]]
     failing_modular = ["verify", "--mu", "2,1", "--r", "3", "--m", "2", "--N", "9", "--mode", "modular"]
     out = []
@@ -104,6 +133,9 @@ def requests():
             out += [("verify", perturbation, argv + ["--format", fmt]) for argv in failing]
         out += [("verify", None, argv + ["--format", fmt]) for argv in modular]
         out.append(("verify", "flip-first-sign", failing_modular + ["--format", fmt]))
+    for fmt in ("plain", "json", "latex"):
+        out += [("expand", None, argv + ["--format", fmt]) for argv in expands]
+        out += [("sgn", None, argv + ["--format", fmt]) for argv in sgns]
     return out
 
 
@@ -148,7 +180,9 @@ def main(old_root, new_root):
         if kind == "trace":
             key += " --canonical" * ("--canonical" in argv)
             key += " aborted" if "unsuccessful" in b[1] else " completed"
-        else:
+        elif kind == "expand":
+            key += " iterated" if "--rho" in argv else " single"
+        elif kind == "verify":
             key += f" {argv[argv.index('--mode') + 1]}"
             key += f" {perturbation}" * bool(perturbation)
         counts[key] = counts.get(key, 0) + 1
