@@ -31,14 +31,14 @@ def chain_endpoints():
 
 @pytest.fixture
 def checked_partitions(monkeypatch):
-    """A list that grows by one for each Partition built through the
-    checking __init__ from here on in the test."""
+    """The parts of every Partition built through the checking __init__
+    from here on in the test, in order."""
     seen = []
     init = Partition.__init__
 
     def counting(self, parts=()):
-        seen.append(None)
         init(self, parts)
+        seen.append(self.parts)
 
     monkeypatch.setattr(Partition, "__init__", counting)
     return seen

@@ -20,9 +20,9 @@ from plethax import (
     Partition,
     ProcessStep,
     ProcessTrace,
+    SchurExpansion,
     SkewPartition,
     Successful,
-    SchurExpansion,
     Unsuccessful,
     a_beta,
     enumerate_supersets,

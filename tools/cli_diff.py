@@ -113,7 +113,11 @@ def requests():
         if len(rho) * len(nu) >= 2
     ]
     singles = [
-        (mu, r, m) for size in range(5) for mu in partitions(size) for r in range(1, 5) for m in range(1, 4)
+        (mu, r, m)
+        for size in range(5)
+        for mu in partitions(size)
+        for r in range(1, 5)
+        for m in range(1, 4)
     ]
     expands = iterated + [
         ["expand", "--mu", text(mu), "--r", str(r), "--m", str(m)] for mu, r, m in singles
