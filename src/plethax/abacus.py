@@ -203,10 +203,10 @@ class LabelledAbacus:
         )
 
     def beads_between(self, lo: int, hi: int) -> int:
-        """Number of beads on slots strictly between lo and hi (lo < hi)."""
+        """Beads on slots strictly between lo and hi (lo < hi); slots start at 0."""
         if lo >= hi:
             raise ValueError(f"need lo < hi, got {lo} >= {hi}")
-        return sum(1 for i in range(lo + 1, min(hi, len(self.slots))) if self.slots[i])
+        return sum(1 for i in range(max(lo + 1, 0), min(hi, len(self.slots))) if self.slots[i])
 
     def tth_rightmost(self, t: int) -> int:
         """Label of the t-th rightmost bead, i.e. sigma()[t-1]."""

@@ -16,7 +16,6 @@ from math import factorial
 from .abacus import Monomial, all_abaci
 from .partitions import (
     Partition,
-    SkewPartition,
     _add_strips,
     _shape_at,
     bead_positions,
@@ -124,6 +123,11 @@ def pmn_expand_iterated(mu: Partition, rho: Partition, nu: Partition) -> SchurEx
     return SchurExpansion((_shape_at(pos), c) for pos, c in current.items())
 
 
+def _check_factor(r: int, m: int):
+    if r < 1 or m < 1:
+        raise ValueError("r and m must be positive")
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
     ok: bool
@@ -161,8 +165,7 @@ def verify_against_oracle(
     mode 'modular' compares values at `points` seeded points.  Both sides
     need n_vars at least |mu| + r*m so no shape in the sum is truncated.
     """
-    if r < 1 or m < 1:
-        raise ValueError("r and m must be positive")
+    _check_factor(r, m)
     bound = mu.size + r * m
     if n_vars < bound:
         raise ValueError(
@@ -194,6 +197,8 @@ def verify_against_oracle(
             detail = f"first discrepancy: coefficient {diff[exps]} on exponents {exps}"
         seed, points = None, 0
     elif mode == "modular":
+        if points < 1:
+            raise ValueError(f"need at least one point, got {points}")
         betas = [(shifted_beta(lam.parts, n_vars), c) for lam, c in expansion.items()]
         for index, point in enumerate(seeded_points(n_vars, points, seed)):
             p = point.prime
@@ -257,6 +262,9 @@ def verify_process_identity(
     on n_beads beads has at most n_beads rows) and contribute nothing in
     n_beads variables, so they are left out of the bijection targets.
     """
+    _check_factor(r, m)
+    if n_beads < 1:
+        raise ValueError(f"need at least one bead, got {n_beads}")
     expansion = pmn_expand(mu, r, m)
     sign_of = {
         lam: c for lam, c in expansion.items() if len(lam) <= n_beads

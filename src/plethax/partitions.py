@@ -89,6 +89,8 @@ def partitions_of(n: int, max_length: int | None = None):
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be nonnegative, got {max_length}")
     limit = n if max_length is None else min(max_length, n)
 
     def rec(remaining, cap, rows_left, prefix):
@@ -220,24 +222,28 @@ def _shape_at(positions) -> Partition:
     return Partition._unchecked(tuple(parts))
 
 
-def border_strip_with_top(lam: Partition, r: int, t: int) -> Partition | None:
-    """Inner shape of the r-border strip of lam whose top row is t, or None.
+def _peel(pos: tuple[int, ...], idx: int, r: int) -> tuple[tuple[int, ...], int] | None:
+    """Strictly decreasing pos with the bead at index idx moved r slots left,
+    and the index it lands at (the strip's bottom row minus 1), or None when
+    the landing slot is taken or negative."""
+    target = pos[idx] - r
+    land = idx + 1
+    while land < len(pos) and pos[land] > target:
+        land += 1
+    if target < 0 or pos[land : land + 1] == (target,):
+        return None
+    return pos[:idx] + pos[idx + 1 : land] + (target,) + pos[land:], land - 1
 
-    There is at most one such strip: on the runner it is the t-th rightmost
-    bead moved r slots left, which fails only when the landing slot is
-    occupied or negative.
-    """
+
+def border_strip_with_top(lam: Partition, r: int, t: int) -> Partition | None:
+    """Inner shape of the r-border strip of lam whose top row is t, or None:
+    there is at most one, the t-th rightmost bead moved r slots left."""
     if r < 1:
         raise ValueError(f"strip size must be positive, got {r}")
     if t < 1:
         raise ValueError(f"top row must be >= 1, got {t}")
-    if t > len(lam):
-        return None
-    pos = bead_positions(lam, len(lam))
-    target = pos[t - 1] - r
-    if target < 0 or target in pos:
-        return None
-    return _shape_at(sorted(pos[: t - 1] + (target,) + pos[t:], reverse=True))
+    peeled = _peel(bead_positions(lam, len(lam)), t - 1, r) if t <= len(lam) else None
+    return None if peeled is None else _shape_at(peeled[0])
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,6 @@ class BorderStripChain:
     shapes: tuple[Partition, ...]
     tops: tuple[int, ...]
     bottoms: tuple[int, ...]
-    strip_signs: tuple[int, ...]
 
     @property
     def d(self) -> int:
@@ -261,58 +266,45 @@ class BorderStripChain:
         return len(self.shapes) - 1
 
     @property
+    def strip_signs(self) -> tuple[int, ...]:
+        """(-1) ** (bottom - top) for each strip."""
+        return tuple(-1 if (b - t) % 2 else 1 for t, b in zip(self.tops, self.bottoms))
+
+    @property
     def sign(self) -> int:
-        out = 1
-        for s in self.strip_signs:
-            out *= s
-        return out
+        return -1 if (sum(self.bottoms) - sum(self.tops)) % 2 else 1
 
 
 def r_decompose(skew: SkewPartition, r: int) -> BorderStripChain | None:
     """The unique border-strip chain from inner to outer, or None.
 
-    Peels from the outer shape downward: the last strip of a valid chain is
-    forced to have top equal to the top of the whole skew shape, so peeling
-    that strip and recursing either finds the chain or proves there is none.
-    Tops along the peel are automatically weakly increasing because each
-    removal leaves the rows above its top untouched.
+    Peels on len(outer) beads: the last strip of a valid chain is forced to
+    have the skew's top, the first bead off inner's position, so moving that
+    bead r slots left and recursing finds the chain or proves there is none.
+    A bead left of inner's is a row shorter than inner's, and peeling never
+    lengthens a row, so only the end is compared with inner.
     """
     if r < 1:
         raise ValueError(f"strip size must be positive, got {r}")
-    total = skew.size
-    if total % r:
+    if skew.size % r:
         return None
-    shapes = [skew.outer]
-    tops: list[int] = []
-    bottoms: list[int] = []
-    signs: list[int] = []
-    current = skew.outer
-    for _ in range(total // r):
-        if not current.contains(skew.inner):
+    n = len(skew.outer)
+    pos, goal = bead_positions(skew.outer, n), bead_positions(skew.inner, n)
+    shapes, tops, bottoms = [skew.outer], [], []
+    t = 0  # tops weakly increase: a move leaves the beads above it in place
+    for _ in range(skew.size // r):
+        while pos[t] == goal[t]:
+            t += 1
+        peeled = _peel(pos, t, r) if pos[t] > goal[t] else None
+        if peeled is None:
             return None
-        t = SkewPartition(current, skew.inner).top
-        nu = border_strip_with_top(current, r, t)
-        if nu is None:
-            return None
-        strip = SkewPartition(current, nu)
-        tops.append(strip.top)
-        bottoms.append(strip.bottom)
-        signs.append(strip_sign(strip))
-        current = nu
-        shapes.append(current)
-    if current != skew.inner:
+        pos, landing = peeled
+        shapes.insert(0, _shape_at(pos))
+        tops.insert(0, t + 1)
+        bottoms.insert(0, landing + 1)
+    if pos != goal:
         return None
-    shapes.reverse()
-    tops.reverse()
-    bottoms.reverse()
-    signs.reverse()
-    return BorderStripChain(
-        r=r,
-        shapes=tuple(shapes),
-        tops=tuple(tops),
-        bottoms=tuple(bottoms),
-        strip_signs=tuple(signs),
-    )
+    return BorderStripChain(r, tuple(shapes), tuple(tops), tuple(bottoms))
 
 
 def sgn_r(skew: SkewPartition, r: int) -> int:

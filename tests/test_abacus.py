@@ -107,6 +107,13 @@ def test_beads_between_requires_increasing_bounds(abacus_533221):
         abacus_533221.beads_between(4, 4)
 
 
+def test_beads_between_counts_no_slot_below_zero():
+    w = LabelledAbacus((0, 1, 0, 2, 3))
+    assert w.beads_between(-3, 1) == 0
+    assert w.beads_between(-1, 4) == 2
+    assert w.beads_between(-9, 9) == 3
+
+
 @given(abacus_st(), st.integers(1, 4))
 def test_r_move_round_trip_and_sign(w, r):
     for bead in range(1, w.n_beads + 1):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -181,6 +183,25 @@ def test_verify_rejects_bad_arguments():
         verify_against_oracle(Partition(), 0, 1, 3)
     with pytest.raises(ValueError):
         verify_against_oracle(Partition(), 1, 1, 1, mode="nonsense")
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_verify_modular_needs_a_point(points):
+    with pytest.raises(ValueError, match=f"need at least one point, got {points}"):
+        verify_against_oracle(Partition(), 1, 2, 3, mode="modular", points=points)
+
+
+@pytest.mark.parametrize("verify", [verify_against_oracle, verify_process_identity])
+@pytest.mark.parametrize("r, m", [(0, 1), (1, 0), (-1, 2)])
+def test_verifiers_share_the_factor_check(verify, r, m):
+    with pytest.raises(ValueError, match="r and m must be positive"):
+        verify(Partition(), r, m, 4)
+
+
+@pytest.mark.parametrize("n_beads", [0, -2])
+def test_verify_process_needs_a_bead(n_beads):
+    with pytest.raises(ValueError, match=re.escape(f"need at least one bead, got {n_beads}")):
+        verify_process_identity(Partition(), 1, 2, n_beads)
 
 
 def test_verify_modular_builds_one_table_per_point(monkeypatch):

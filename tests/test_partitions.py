@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,9 @@ from oracles import (
     subpartitions,
     supersets_by_shapes,
 )
+from plethax import partitions
 from plethax import (
+    BorderStripChain,
     Partition,
     SkewPartition,
     bead_positions,
@@ -65,6 +68,11 @@ def test_partitions_of_counts():
         Partition((3, 1)),
         Partition((2, 2)),
     ]
+
+
+def test_partitions_of_rejects_negative_max_length():
+    with pytest.raises(ValueError, match="max_length must be nonnegative, got -1"):
+        list(partitions_of(2, -1))
 
 
 def test_skew_requires_containment():
@@ -167,17 +175,56 @@ def test_r_decompose_rejects_non_multiple_sizes():
     assert r_decompose(SkewPartition(Partition((3,)), Partition()), 2) is None
 
 
-def test_chain_fields_are_consistent(chain_endpoints):
+def test_r_decompose_reads_no_cell_level_reference(monkeypatch, chain_endpoints):
     inner, outer = chain_endpoints
-    chain = r_decompose(SkewPartition(outer, inner), 5)
+    goldens = [
+        (SkewPartition(outer, inner), 5, BorderStripChain(
+            5,
+            (inner, Partition((5, 4, 4, 4, 3, 1)), Partition((5, 5, 5, 5, 5, 1)), outer),
+            (2, 2, 1),
+            (5, 5, 3),
+        )),
+        (SkewPartition(Partition((2, 2)), Partition()), 2, BorderStripChain(
+            2, (Partition(), Partition((1, 1)), Partition((2, 2))), (1, 1), (2, 2)
+        )),
+        (SkewPartition(Partition((3, 1)), Partition((3, 1))), 4, BorderStripChain(
+            4, (Partition((3, 1)),), (), ()
+        )),
+        (SkewPartition(Partition((2, 1, 1)), Partition()), 2, None),
+        (SkewPartition(Partition((3,)), Partition()), 2, None),
+    ]
+
+    def refuse(*args):
+        raise RuntimeError("r_decompose read the cell-level reference")
+
+    monkeypatch.setattr(SkewPartition, "top", property(refuse))
+    monkeypatch.setattr(SkewPartition, "bottom", property(refuse))
+    monkeypatch.setattr(Partition, "contains", refuse)
+    monkeypatch.setattr(partitions, "strip_sign", refuse)
+    for skew, r, chain in goldens:
+        assert r_decompose(skew, r) == chain
+
+
+def assert_strips_read_off_cells(chain, inner, outer):
+    """Each strip of the chain, read cell by cell, has the chain's size, top,
+    bottom and sign, and the tops weakly decrease."""
+    assert (chain.shapes[0], chain.shapes[-1]) == (inner, outer)
     for k in range(chain.d):
         strip = SkewPartition(chain.shapes[k + 1], chain.shapes[k])
-        assert strip.size == 5
-        assert is_border_strip(strip, 5)
+        assert strip.size == chain.r
+        assert is_border_strip(strip, chain.r)
         assert strip.top == chain.tops[k]
         assert strip.bottom == chain.bottoms[k]
         assert strip_sign(strip) == chain.strip_signs[k]
     assert all(a >= b for a, b in zip(chain.tops, chain.tops[1:]))
+
+
+def test_chain_fields_are_consistent(chain_endpoints):
+    inner, outer = chain_endpoints
+    chain = r_decompose(SkewPartition(outer, inner), 5)
+    assert [f.name for f in fields(chain)] == ["r", "shapes", "tops", "bottoms"]
+    assert chain.r == 5
+    assert_strips_read_off_cells(chain, inner, outer)
 
 
 @pytest.mark.parametrize("size", range(0, 8))
@@ -191,6 +238,8 @@ def test_decomposition_agrees_with_exhaustive_search(size):
                 assert chains in (0, 1)
                 chain = r_decompose(skew, r)
                 assert (chain is not None) == (chains == 1)
+                if chain is not None:
+                    assert_strips_read_off_cells(chain, mu, lam)
                 assert sgn_r(skew, r) == chain_sign_by_search(lam, mu, r)
 
 

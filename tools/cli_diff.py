@@ -24,7 +24,10 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
   r <= 4, m <= 3;
 - `sgn`, plain, json and latex, with each of those single expansions'
   mu as inner and r, on every outer of its support (found by the
-  benchmark's own strip search, `bench/checks.py`).
+  benchmark's own strip search, `bench/checks.py`), and on skews with no
+  strip chain: every outer of the same size that contains mu but is
+  outside the support, and for r > 1 the outer that lengthens mu's first
+  row by r*m - 1 cells, a size that is not a multiple of r.
 
 Prints the number of requests per kind and every mismatch; exits 1 if any.
 """
@@ -54,6 +57,10 @@ def compositions(total, length):
     if length == 1:
         return [(total,)]
     return [(e,) + rest for e in range(total + 1) for rest in compositions(total - e, length - 1)]
+
+
+def contains(outer, inner):
+    return len(inner) <= len(outer) and all(a >= b for a, b in zip(outer, inner))
 
 
 def text(parts):
@@ -122,10 +129,21 @@ def requests():
     expands = iterated + [
         ["expand", "--mu", text(mu), "--r", str(r), "--m", str(m)] for mu, r, m in singles
     ]
+    outers = []
+    for mu, r, m in singles:
+        support = checks.supersets(mu, r, m)
+        outers += [(outer, mu, r) for outer in sorted(support, reverse=True)]
+        outers += [
+            (outer, mu, r)
+            for outer in partitions(sum(mu) + r * m)
+            if contains(outer, mu) and outer not in support
+        ]
+        if r > 1:
+            first = mu[0] if mu else 0
+            outers.append(((first + r * m - 1,) + mu[1:], mu, r))
     sgns = [
         ["sgn", "--outer", text(outer), "--inner", text(mu), "--r", str(r)]
-        for mu, r, m in singles
-        for outer in sorted(checks.supersets(mu, r, m), reverse=True)
+        for outer, mu, r in outers
     ]
     failing = [["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mode", "process"]]
     failing_modular = ["verify", "--mu", "2,1", "--r", "3", "--m", "2", "--N", "9", "--mode", "modular"]
@@ -189,6 +207,8 @@ def main(old_root, new_root):
         elif kind == "verify":
             key += f" {argv[argv.index('--mode') + 1]}"
             key += f" {perturbation}" * bool(perturbation)
+        elif kind == "sgn":
+            key += " no chain" if b[1] == "0\n" or '"chain": null' in b[1] else " chain"
         counts[key] = counts.get(key, 0) + 1
         if a != b:
             mismatches += 1
