@@ -62,6 +62,13 @@ class SchurExpansion:
             raise ValueError(f"mixed homogeneous degrees: {sorted(sizes)}")
         self.coeffs = cleaned
 
+    @classmethod
+    def _unchecked(cls, coeffs: dict) -> "SchurExpansion":
+        """Wrap a dict of shapes of one size to nonzero ints as is."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
     def coefficient(self, lam: Partition) -> int:
         return self.coeffs.get(lam, 0)
 
@@ -98,7 +105,7 @@ class SchurExpansion:
 def pmn_expand(mu: Partition, r: int, m: int) -> SchurExpansion:
     """Schur expansion of s_mu * (p_r o h_m): signed sum over the shapes
     reachable from mu by m strips of size r along a top-monotone chain."""
-    return SchurExpansion(enumerate_supersets(mu, r, m))
+    return SchurExpansion._unchecked(dict(enumerate_supersets(mu, r, m)))
 
 
 def pmn_expand_iterated(mu: Partition, rho: Partition, nu: Partition) -> SchurExpansion:
@@ -120,7 +127,7 @@ def pmn_expand_iterated(mu: Partition, rho: Partition, nu: Partition) -> SchurEx
                 for tau, s in _add_strips(pos, r, m):
                     grown[tau] = grown.get(tau, 0) + c * s
             current = {pos: c for pos, c in grown.items() if c}
-    return SchurExpansion((_shape_at(pos), c) for pos, c in current.items())
+    return SchurExpansion._unchecked({_shape_at(pos): c for pos, c in current.items()})
 
 
 def _check_factor(r: int, m: int):

@@ -83,7 +83,9 @@ class Partition:
 
 
 def partitions_of(n: int, max_length: int | None = None):
-    """Yield all partitions of n (optionally with at most max_length rows).
+    """An iterator over all partitions of n (optionally with at most
+    max_length rows).  The arguments are checked at the call; the
+    partitions are generated lazily.
 
     Output is in decreasing lexicographic order, starting at (n).
     """
@@ -102,7 +104,7 @@ def partitions_of(n: int, max_length: int | None = None):
         for p in range(min(cap, remaining), 0, -1):
             yield from rec(remaining - p, p, rows_left - 1, prefix + [p])
 
-    yield from rec(n, n, limit, [])
+    return rec(n, n, limit, [])
 
 
 class SkewPartition:
@@ -343,6 +345,12 @@ def _add_strips(
 
     Every shape keeps the bead count len(positions), which must be at least
     the rows of the starting shape plus r*m, so no strip runs out of beads.
+
+    Each strip moves one bead r slots right in place, the mirror of _peel:
+    the bead at index idx lands at index `land` after jumping the idx - land
+    beads between, so the strip's top row is land + 1 and its sign is
+    (-1) ** (idx - land).  A bead jumps at most r - 1 others, so no bead
+    past index max_top + r - 2 can make a strip with top at most max_top.
     """
     found: list[tuple[tuple[int, ...], int]] = []
 
@@ -350,17 +358,15 @@ def _add_strips(
         if left == 0:
             found.append((pos, sign))
             return
-        posset = set(pos)
-        for idx, y in enumerate(pos):
-            target = y + r
-            if target in posset:
+        for idx in range(min(len(pos), max_top + r - 1)):
+            target = pos[idx] + r
+            land = idx
+            while land and pos[land - 1] < target:
+                land -= 1
+            if land >= max_top or land and pos[land - 1] == target:
                 continue
-            jumped = sum(1 for q in pos if y < q < target)
-            t = idx + 1 - jumped
-            if t > max_top:
-                continue
-            newpos = tuple(sorted((posset - {y}) | {target}, reverse=True))
-            extend(newpos, left - 1, t, -sign if jumped % 2 else sign)
+            newpos = pos[:land] + (target,) + pos[land:idx] + pos[idx + 1 :]
+            extend(newpos, left - 1, land + 1, -sign if (idx - land) % 2 else sign)
 
     extend(positions, m, len(positions), 1)
     if len({pos for pos, _ in found}) != len(found):

@@ -254,12 +254,16 @@ def scan_by_r_move(w, beta, r: int, record_steps: bool = True) -> ProcessTrace:
     raise RuntimeError("scan passed every bead with budget left")
 
 
-def supersets_by_shapes(mu: Partition, r: int, m: int) -> list[tuple[Partition, int]]:
+def supersets_by_shapes(
+    mu: Partition, r: int, m: int, n_beads: int | None = None
+) -> list[tuple[Partition, int]]:
     """The strip search of enumerate_supersets with a checked Partition
-    built at every leaf and the shapes sorted by their parts."""
+    built at every leaf and the shapes sorted by their parts.  It rebuilds
+    the sorted bead set at every node and scans every bead, on n_beads
+    beads (default len(mu) + r*m, the fewest that hold every shape)."""
     if m == 0:
         return [(mu, 1)]
-    n = len(mu) + r * m
+    n = len(mu) + r * m if n_beads is None else n_beads
     found = []
 
     def extend(pos, left, max_top, sign):

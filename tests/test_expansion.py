@@ -144,6 +144,25 @@ def test_iterated_fold_matches_fold_by_shapes(mu, rho, nu):
     )
 
 
+def assert_passes_public_constructor(result):
+    assert result == SchurExpansion(list(result.coeffs.items()))
+    assert all(isinstance(lam, Partition) for lam in result.coeffs)
+    assert all(result.coeffs.values())
+    assert len({lam.size for lam in result.coeffs}) == 1
+
+
+@given(
+    partition_st(0, 4),
+    st.integers(1, 5),
+    st.integers(0, 3),
+    partition_st(1, 5),
+    partition_st(1, 3),
+)
+def test_expansions_built_unchecked_pass_the_public_constructor(mu, r, m, rho, nu):
+    assert_passes_public_constructor(pmn_expand(mu, r, m))
+    assert_passes_public_constructor(pmn_expand_iterated(mu, rho, nu))
+
+
 def test_iterated_fold_builds_no_checked_partitions(checked_partitions):
     mu, rho, nu = Partition(), Partition((3, 2, 1)), Partition((2, 2))
     assert len(pmn_expand_iterated(mu, rho, nu)) == 1207

@@ -70,6 +70,13 @@ def test_partitions_of_counts():
     ]
 
 
+def test_partitions_of_checks_arguments_at_the_call():
+    with pytest.raises(ValueError, match="cannot partition a negative integer"):
+        partitions_of(-1)
+    with pytest.raises(ValueError, match="max_length must be nonnegative, got -1"):
+        partitions_of(2, -1)
+
+
 def test_partitions_of_rejects_negative_max_length():
     with pytest.raises(ValueError, match="max_length must be nonnegative, got -1"):
         list(partitions_of(2, -1))
@@ -292,6 +299,23 @@ def test_enumerate_supersets_is_exact_and_complete(mu, r, m):
     "mu", [mu for k in range(6) for mu in partitions_of(k)], ids=str
 )
 def test_enumerate_supersets_matches_checked_shape_search(mu):
-    for r in range(1, 5):
+    for r in range(1, 7):
         for m in range(4):
             assert enumerate_supersets(mu, r, m) == supersets_by_shapes(mu, r, m)
+
+
+@pytest.mark.parametrize(
+    "mu", [mu for k in range(5) for mu in partitions_of(k)], ids=str
+)
+def test_add_strips_with_surplus_beads_matches_checked_shape_search(mu):
+    # The iterated fold passes every factor len(mu) + |rho|*|nu| beads,
+    # more than the fewest that hold its shapes.
+    for r in range(1, 7):
+        for m in range(1, 4):
+            for surplus in (1, 2, 5):
+                n = len(mu) + r * m + surplus
+                expected = [
+                    (bead_positions(lam, n), sign)
+                    for lam, sign in supersets_by_shapes(mu, r, m, n)
+                ]
+                assert partitions._add_strips(bead_positions(mu, n), r, m) == expected

@@ -20,7 +20,9 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
   per format with the expansion's first sign flipped;
 - `expand`, plain, json and latex: iterated on every case of the `queries`
   workload's iterated space (|mu| <= 2, 2 <= |rho| <= 5 with parts at most
-  3, 1 <= |nu| <= 3, at least two factors), and single for |mu| <= 4,
+  3, 1 <= |nu| <= 3, at least two factors), iterated with a rho part of 4
+  or 5, which that space never sends (|mu| <= 2, rho one of (4), (5),
+  (4,1), (5,1), (4,2), (4,1,1), 1 <= |nu| <= 3), and single for |mu| <= 4,
   r <= 4, m <= 3;
 - `sgn`, plain, json and latex, with each of those single expansions'
   mu as inner and r, on every outer of its support (found by the
@@ -119,6 +121,13 @@ def requests():
         for nu in (lam for size in range(1, 4) for lam in partitions(size))
         if len(rho) * len(nu) >= 2
     ]
+    iterated += [
+        ["expand", "--mu", text(mu), "--rho", text(rho), "--nu", text(nu)]
+        for k in range(3)
+        for mu in partitions(k)
+        for rho in ((4,), (5,), (4, 1), (5, 1), (4, 2), (4, 1, 1))
+        for nu in (lam for size in range(1, 4) for lam in partitions(size))
+    ]
     singles = [
         (mu, r, m)
         for size in range(5)
@@ -203,7 +212,11 @@ def main(old_root, new_root):
             key += " --canonical" * ("--canonical" in argv)
             key += " aborted" if "unsuccessful" in b[1] else " completed"
         elif kind == "expand":
-            key += " iterated" if "--rho" in argv else " single"
+            if "--rho" in argv:
+                rho = [int(p) for p in argv[argv.index("--rho") + 1].split(",")]
+                key += " iterated" + " rho part 4-5" * (max(rho) > 3)
+            else:
+                key += " single"
         elif kind == "verify":
             key += f" {argv[argv.index('--mode') + 1]}"
             key += f" {perturbation}" * bool(perturbation)
