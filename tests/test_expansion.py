@@ -146,7 +146,6 @@ def test_iterated_fold_matches_fold_by_shapes(mu, rho, nu):
 
 def assert_passes_public_constructor(result):
     assert result == SchurExpansion(list(result.coeffs.items()))
-    assert all(isinstance(lam, Partition) for lam in result.coeffs)
     assert all(result.coeffs.values())
     assert len({lam.size for lam in result.coeffs}) == 1
 
