@@ -14,9 +14,19 @@ ignores trailing empty slots.
 
 from dataclasses import dataclass
 from itertools import permutations, zip_longest
+from operator import index
 
 from .partitions import Partition, _shape_at, bead_positions
 from .polynomials import permutation_sign
+
+
+def _integer(value) -> int:
+    """value as an int; a non-integral value such as 1.5 or '2' raises
+    ValueError instead of being truncated or parsed."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"expected an integer entry, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,8 +50,8 @@ class Monomial:
         vector = []
         items = powers.items() if isinstance(powers, dict) else powers
         for var, exp in items:
-            var = int(var)
-            exp = int(exp)
+            var = _integer(var)
+            exp = _integer(exp)
             if var < 1:
                 raise ValueError(f"variable index must be >= 1, got {var}")
             if exp < 0:
@@ -53,7 +63,7 @@ class Monomial:
     @classmethod
     def from_vector(cls, exponents):
         """Monomial with exponents[i] on variable i+1."""
-        vector = tuple(map(int, exponents))
+        vector = tuple(map(_integer, exponents))
         if min(vector, default=0) < 0:
             bad = next(e for e in vector if e < 0)
             raise ValueError(f"exponent must be nonnegative, got {bad}")
@@ -108,7 +118,7 @@ class LabelledAbacus:
     __slots__ = ("slots", "n_beads")
 
     def __init__(self, slots=()):
-        cleaned = [int(x) for x in slots]
+        cleaned = [_integer(x) for x in slots]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         labels = sorted(x for x in cleaned if x != 0)
@@ -125,12 +135,12 @@ class LabelledAbacus:
         """Build from (position, label) pairs; duplicate positions are rejected."""
         filled: dict[int, int] = {}
         for pos, label in items:
-            pos = int(pos)
+            pos = _integer(pos)
             if pos < 0:
                 raise ValueError(f"slot index must be nonnegative, got {pos}")
             if pos in filled:
                 raise ValueError(f"two beads on slot {pos}")
-            filled[pos] = int(label)
+            filled[pos] = _integer(label)
         size = max(filled) + 1 if filled else 0
         slots = [0] * size
         for pos, label in filled.items():
@@ -165,9 +175,17 @@ class LabelledAbacus:
     def shape(self) -> Partition:
         return _shape_at(self.support())
 
+    def positions(self) -> tuple[int, ...]:
+        """Slot of each bead: entry l-1 is the slot of the bead labelled l."""
+        out = [0] * self.n_beads
+        for i, label in enumerate(self.slots):
+            if label:
+                out[label - 1] = i
+        return tuple(out)
+
     def weight(self) -> Monomial:
         """Product over beads of x_label ** position."""
-        return Monomial.from_vector(map(self.slots.index, range(1, self.n_beads + 1)))
+        return Monomial.from_vector(self.positions())
 
     def r_move(self, bead: int, r: int):
         """Shift a bead r slots rightward; a LabelledAbacus, or a Collision

@@ -13,7 +13,7 @@ verify_process_identity replays the bead-scanning process pair by pair.
 from dataclasses import dataclass
 from math import factorial
 
-from .abacus import Monomial, all_abaci
+from .abacus import all_abaci
 from .partitions import (
     Partition,
     _add_strips,
@@ -38,7 +38,10 @@ from .polynomials import (  # noqa: F401
     shifted_beta,
     straighten_product,
 )
-from .process import enumerate_pairs, epsilon, weight_with_budget
+from .process import _budget_weight, _composition, enumerate_pairs, epsilon
+# weight_with_budget is not used here either; it stays bound for the
+# benchmark's tracer (bench/tracing.py), like the block above.
+from .process import weight_with_budget  # noqa: F401
 
 
 class SchurExpansion:
@@ -265,6 +268,12 @@ def verify_process_identity(
     still open closes it if the partner maps back, and any pair left open
     at the end has no partner mapping back to it.
 
+    Each distinct labelling is read once per call: its bead positions and
+    its sign are kept by slots, for the labellings of mu (partners among
+    them) and of the support shapes, at most n_beads! * (1 + support size)
+    of them.  A weight is the exponent tuple whose entry l-1 is the slot of
+    bead l plus r times its budget entry, so no Monomial is built.
+
     Support shapes with more rows than beads cannot occur as images (a shape
     on n_beads beads has at most n_beads rows) and contribute nothing in
     n_beads variables, so they are left out of the bijection targets.
@@ -281,21 +290,31 @@ def verify_process_identity(
 
     def first_failure():
         nonlocal n_pairs, n_aborted, n_completed
-        # Signed weights by weight monomial: the aborted pairs, and the
+        # (positions, sign) by slots, for every labelling read so far.
+        readings: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+
+        def read(u):
+            reading = readings.get(u.slots)
+            if reading is None:
+                reading = readings[u.slots] = (u.positions(), u.sign())
+            return reading
+
+        # Signed weights by exponent tuple: the aborted pairs, and the
         # completed pairs minus the signed abacus sums of the support shapes.
-        aborted: dict[Monomial, int] = {}
-        unmatched: dict[Monomial, int] = {}
+        aborted: dict[tuple[int, ...], int] = {}
+        unmatched: dict[tuple[int, ...], int] = {}
         images: dict[Partition, set] = {}
         # Aborted pairs whose partner has not come up yet, keyed by
         # (slots, budget entries), with the key of that partner.
         open_pairs: dict[tuple, tuple] = {}
-        w_signed = None
+        w_read = None
         for w, beta, trace in enumerate_pairs(mu, n_beads, r, m):
             n_pairs += 1
-            weight = weight_with_budget(w, beta, r)
             # enumerate_pairs yields each labelling for all budgets in a row.
-            if w is not w_signed:
-                w_signed, sign = w, w.sign()
+            if w is not w_read:
+                w_read = w
+                positions, sign = read(w)
+            weight = _budget_weight(positions, beta.entries, r)
             if trace.successful:
                 n_completed += 1
                 unmatched[weight] = unmatched.get(weight, 0) + sign
@@ -303,9 +322,10 @@ def verify_process_identity(
                 lam = image.shape()
                 if lam not in sign_of:
                     return f"completed pair landed on {lam}, outside the expansion support"
-                if image.sign() != sign_of[lam] * sign:
+                image_positions, image_sign = read(image)
+                if image_sign != sign_of[lam] * sign:
                     return f"sign law broken on a completed pair with shape {lam}"
-                if image.weight() != weight:
+                if image_positions != weight:
                     return f"weight not conserved on a completed pair with shape {lam}"
                 bucket = images.setdefault(lam, set())
                 if image in bucket:
@@ -315,9 +335,11 @@ def verify_process_identity(
                 n_aborted += 1
                 aborted[weight] = aborted.get(weight, 0) + sign
                 w2, beta2 = epsilon(w, beta, r)
-                if w2.sign() != -sign:
+                positions2, sign2 = read(w2)
+                if sign2 != -sign:
                     return "partner does not reverse sign"
-                if weight_with_budget(w2, beta2, r) != weight:
+                beta2 = _composition(beta2, w2.n_beads)
+                if _budget_weight(positions2, beta2.entries, r) != weight:
                     return "partner changes the weight"
                 key, partner = (w.slots, beta.entries), (w2.slots, beta2.entries)
                 if partner not in open_pairs:
@@ -334,8 +356,8 @@ def verify_process_identity(
             if hits != expected:
                 return f"completed pairs miss {len(expected - hits)} labellings of {lam}"
             for u in expected:
-                weight = u.weight()
-                unmatched[weight] = unmatched.get(weight, 0) - c * u.sign()
+                u_positions, u_sign = read(u)
+                unmatched[u_positions] = unmatched.get(u_positions, 0) - c * u_sign
         if any(unmatched.values()):
             return "completed pairs do not regroup into the signed shape sums"
         return None

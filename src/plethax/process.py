@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .abacus import LabelledAbacus, Monomial, all_abaci
+from .abacus import LabelledAbacus, Monomial, _integer, all_abaci
 from .partitions import Partition, SkewPartition, r_decompose
 from .polynomials import compositions
 
@@ -55,9 +55,7 @@ class Composition:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(int(e) for e in self.entries)
-        )
+        object.__setattr__(self, "entries", tuple(map(_integer, self.entries)))
         if any(e < 0 for e in self.entries):
             raise ValueError(f"move counts must be nonnegative: {self.entries}")
 
@@ -265,13 +263,16 @@ def enumerate_pairs(mu: Partition, n_beads: int, r: int, m: int):
     """Yield (abacus, composition, trace) over every labelling of mu times
     every budget of total m.
 
-    The number of pairs is n! * C(m+n-1, n-1); enumeration refuses to start
-    past pair_budget().
+    Labellings come in the order of all_abaci, each with all its budgets in
+    a row.  The budgets are built once and shared by every labelling, so a
+    budget yielded twice is the same Composition object.  The number of
+    pairs is n! * C(m+n-1, n-1); enumeration refuses to start past
+    pair_budget().
     """
     _check_budget(factorial(n_beads) * comb(m + n_beads - 1, n_beads - 1), "pairs")
+    budgets = [Composition._unchecked(entries) for entries in compositions(m, n_beads)]
     for w in all_abaci(mu, n_beads, max_beads=n_beads):
-        for entries in compositions(m, n_beads):
-            beta = Composition._unchecked(entries)
+        for beta in budgets:
             yield w, beta, run_process(w, beta, r, record_steps=False)
 
 
@@ -313,9 +314,10 @@ def weight_with_budget(
 ) -> Monomial:
     """The invariant the process conserves: weight(w) times x^(r * beta)."""
     beta = _composition(beta, w.n_beads)
-    return Monomial.from_vector(
-        [
-            w.slots.index(label) + r * e
-            for label, e in enumerate(beta.entries, start=1)
-        ]
-    )
+    return Monomial.from_vector(_budget_weight(w.positions(), beta.entries, r))
+
+
+def _budget_weight(positions: tuple[int, ...], entries: tuple[int, ...], r: int):
+    """Exponent tuple of weight_with_budget from an abacus's positions() and
+    a budget of as many entries: slot of bead l plus r times its entry."""
+    return tuple([p + r * e for p, e in zip(positions, entries)])

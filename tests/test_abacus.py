@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from plethax import (
     bead_positions,
     canonical_abacus,
     partitions_of,
+    weight_with_budget,
 )
 
 
@@ -38,6 +40,32 @@ def test_constructor_validates_labels():
     with pytest.raises(ValueError):
         LabelledAbacus((-1, 2))
     assert LabelledAbacus((1, 2, 0, 0)).slots == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: LabelledAbacus([1.5]), "1.5"),
+        (lambda: LabelledAbacus(("1",)), "'1'"),
+        (lambda: LabelledAbacus.from_positions([(0.5, 1)]), "0.5"),
+        (lambda: LabelledAbacus.from_positions([(0, 1.0)]), "1.0"),
+        (lambda: Monomial.from_vector([1.7]), "1.7"),
+        (lambda: Monomial({1: 2.5}), "2.5"),
+        (lambda: Monomial({"1": 2}), "'1'"),
+    ],
+    ids=[
+        "slots-float",
+        "slots-str",
+        "position-float",
+        "label-float",
+        "vector-float",
+        "exponent-float",
+        "variable-str",
+    ],
+)
+def test_non_integral_entries_are_rejected(build, bad):
+    with pytest.raises(ValueError, match=re.escape(f"expected an integer entry, got {bad}")):
+        build()
 
 
 def test_from_positions_rejects_duplicates():
@@ -114,8 +142,15 @@ def test_beads_between_counts_no_slot_below_zero():
     assert w.beads_between(-9, 9) == 3
 
 
-@given(abacus_st(), st.integers(1, 4))
-def test_r_move_round_trip_and_sign(w, r):
+@given(abacus_st(), st.integers(1, 4), st.data())
+def test_r_move_round_trip_and_sign(w, r, data):
+    positions = w.positions()
+    assert positions == tuple(w.slots.index(label) for label in range(1, w.n_beads + 1))
+    assert w.weight() == Monomial.from_vector(positions)
+    beta = data.draw(st.lists(st.integers(0, 3), min_size=w.n_beads, max_size=w.n_beads))
+    assert weight_with_budget(w, beta, r).vector(w.n_beads) == tuple(
+        p + r * e for p, e in zip(positions, beta)
+    )
     for bead in range(1, w.n_beads + 1):
         out = w.r_move(bead, r)
         if isinstance(out, Collision):

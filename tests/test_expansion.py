@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 
 import pytest
@@ -17,6 +19,7 @@ from plethax import (
     Partition,
     SchurExpansion,
     SparsePolynomial,
+    Successful,
     a_beta,
     h_poly,
     p_poly,
@@ -245,6 +248,24 @@ def test_verify_modular_builds_one_table_per_point(monkeypatch):
     assert len(values) == 6 * (report.terms + 1)
 
 
+def test_verify_process_reads_each_labelling_once(monkeypatch):
+    read = []
+    sign = LabelledAbacus.sign
+
+    def counting(self):
+        read.append(self.slots)
+        return sign(self)
+
+    monkeypatch.setattr(LabelledAbacus, "sign", counting)
+    mu = Partition((1,))
+    report = verify_process_identity(mu, 2, 2, 5)
+    assert report.ok and report.n_pairs == 1800
+    # The labellings of mu and of the three support shapes, each read once.
+    labellings = math.factorial(5) * (1 + len(pmn_expand(mu, 2, 2)))
+    assert len(read) == len(set(read)) <= labellings
+    assert 3 * len(read) < report.n_pairs
+
+
 def test_verify_modular_reaches_24_variables():
     report = verify_against_oracle(Partition(), 4, 6, 24, mode="modular")
     assert report.ok, report.detail
@@ -470,3 +491,37 @@ def test_verify_process_reports_partner_changing_weight(monkeypatch):
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
     assert report.detail == "partner changes the weight"
+
+
+@pytest.mark.parametrize("resize", [lambda e: e[:-1], lambda e: e + (0,)], ids=["short", "long"])
+def test_verify_process_rejects_a_partner_budget_of_the_wrong_length(monkeypatch, resize):
+    real = expansion.epsilon
+
+    def resized(w, beta, r):
+        w2, beta2 = real(w, beta, r)
+        return w2, Composition(resize(beta2.entries))
+
+    monkeypatch.setattr(expansion, "epsilon", resized)
+    n = len(resize((0, 0, 0)))
+    with pytest.raises(ValueError, match=f"^budget has {n} entries for 3 beads$"):
+        verify_process_identity(Partition((1,)), 2, 1, 3)
+
+
+def test_verify_process_reports_completed_pair_changing_weight(monkeypatch):
+    """Relabelling a completed image by the 3-cycle 1 -> 2 -> 3 -> 1 keeps
+    its shape and its sign, as the cycle is even, but moves every bead's
+    slot to another label."""
+    real = expansion.enumerate_pairs
+
+    def cycled(mu, n_beads, r, m):
+        for w, beta, trace in real(mu, n_beads, r, m):
+            if trace.successful:
+                slots = tuple(x % 3 + 1 if x else 0 for x in trace.outcome.abacus.slots)
+                trace = dataclasses.replace(trace, outcome=Successful(LabelledAbacus(slots)))
+            yield w, beta, trace
+
+    monkeypatch.setattr(expansion, "enumerate_pairs", cycled)
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (1, 0, 1)
+    assert report.detail == "weight not conserved on a completed pair with shape (1,1,1)"

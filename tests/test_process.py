@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from itertools import product
 from pathlib import Path
 
@@ -40,6 +41,12 @@ def test_composition_basics():
         Composition((1, -1))
     with pytest.raises(ValueError):
         beta.entry(7)
+
+
+@pytest.mark.parametrize("entries, bad", [((1.5,), "1.5"), ((0, "2"), "'2'"), ((2.0, 1), "2.0")])
+def test_composition_rejects_non_integral_entries(entries, bad):
+    with pytest.raises(ValueError, match=re.escape(f"expected an integer entry, got {bad}")):
+        Composition(entries)
 
 
 def test_run_budget_length_must_match(abacus_533221):
