@@ -14,19 +14,9 @@ ignores trailing empty slots.
 
 from dataclasses import dataclass
 from itertools import permutations, zip_longest
-from operator import index
 
 from .partitions import Partition, _shape_at, bead_positions
-from .polynomials import permutation_sign
-
-
-def _integer(value) -> int:
-    """value as an int; a non-integral value such as 1.5 or '2' raises
-    ValueError instead of being truncated or parsed."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"expected an integer entry, got {value!r}") from None
+from .polynomials import _integer, permutation_sign
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,9 +247,14 @@ class LabelledAbacus:
             slots[pos] = label
         while slots and not slots[-1]:
             slots.pop()
-        out = LabelledAbacus.__new__(LabelledAbacus)
-        out.slots = tuple(slots)
-        out.n_beads = self.n_beads
+        return LabelledAbacus._unchecked(tuple(slots), self.n_beads)
+
+    @classmethod
+    def _unchecked(cls, slots: tuple[int, ...], n_beads: int) -> "LabelledAbacus":
+        """Wrap a trimmed slot tuple holding each label 1..n_beads once, as is."""
+        out = cls.__new__(cls)
+        out.slots = slots
+        out.n_beads = n_beads
         return out
 
     def _check_label(self, bead: int):

@@ -12,6 +12,8 @@ the chain peeling and the superset enumeration cheap and collision-free.
 
 from dataclasses import dataclass
 
+from .polynomials import _integer
+
 
 class Partition:
     """A weakly decreasing sequence of positive integers.
@@ -24,7 +26,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        cleaned = [int(p) for p in parts]
+        cleaned = [_integer(p) for p in parts]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         if any(p < 0 for p in cleaned):
@@ -206,7 +208,7 @@ def bead_positions(lam: Partition, n_beads: int) -> tuple[int, ...]:
 
 def partition_from_positions(positions) -> Partition:
     """Recover the partition encoded by a set of distinct runner positions."""
-    given = tuple(int(y) for y in positions)
+    given = tuple(map(_integer, positions))
     if len(set(given)) != len(given):
         raise ValueError(f"bead positions must be distinct, got {given}")
     if any(y < 0 for y in given):

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from operator import add
+from operator import add, index
 
 DEFAULT_PRIME = 2_147_483_647  # 2**31 - 1
 
@@ -40,6 +40,15 @@ def compositions(total: int, length: int):
             prev = b
         parts.append(total + length - 1 - prev - 1)
         yield tuple(parts)
+
+
+def _integer(value) -> int:
+    """value as an int; a non-integral value such as 1.5 or '2' raises
+    ValueError instead of being truncated or parsed."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"expected an integer entry, got {value!r}") from None
 
 
 class GuardError(ValueError):
@@ -68,14 +77,14 @@ class SparsePolynomial:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exps, coeff in items:
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(map(_integer, exps))
                 if len(exps) != n_vars:
                     raise ValueError(
                         f"exponent tuple {exps} does not have {n_vars} entries"
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                coeff = cleaned.get(exps, 0) + int(coeff)
+                coeff = cleaned.get(exps, 0) + _integer(coeff)
                 if coeff:
                     cleaned[exps] = coeff
                 else:

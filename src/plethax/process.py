@@ -17,9 +17,9 @@ import os
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .abacus import LabelledAbacus, Monomial, _integer, all_abaci
+from .abacus import LabelledAbacus, Monomial, all_abaci
 from .partitions import Partition, SkewPartition, r_decompose
-from .polynomials import compositions
+from .polynomials import _integer, compositions
 
 DEFAULT_PAIR_BUDGET = 10_000_000
 
@@ -146,6 +146,37 @@ class ProcessTrace:
         return [self.initial.shape()] + [s.abacus.shape() for s in self.moves]
 
 
+# The scan builds one trace and one outcome per run.  Setting their slots
+# through the slot descriptors skips the frozen dataclasses' generated
+# __init__, which writes each field through object.__setattr__.
+_put_initial, _put_beta, _put_r, _put_steps, _put_outcome = (
+    vars(ProcessTrace)[name].__set__ for name in ProcessTrace.__slots__
+)
+_put_bead, _put_blocker, _put_position = (
+    vars(Unsuccessful)[name].__set__ for name in Unsuccessful.__slots__
+)
+
+
+def _trace(w, beta, r, steps, outcome) -> ProcessTrace:
+    """ProcessTrace(w, beta, r, steps, outcome), built as is."""
+    out = object.__new__(ProcessTrace)
+    _put_initial(out, w)
+    _put_beta(out, beta)
+    _put_r(out, r)
+    _put_steps(out, steps)
+    _put_outcome(out, outcome)
+    return out
+
+
+def _collision(bead, blocker, position) -> Unsuccessful:
+    """Unsuccessful(bead, blocker, position), built as is."""
+    out = object.__new__(Unsuccessful)
+    _put_bead(out, bead)
+    _put_blocker(out, blocker)
+    _put_position(out, position)
+    return out
+
+
 def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     """Scan the runner and spend the budget; returns the full ProcessTrace.
 
@@ -163,42 +194,37 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     alpha = list(beta.entries)
     remaining = sum(alpha)
     if remaining == 0:
-        return ProcessTrace(w, beta, r, (), Successful(w))
+        return _trace(w, beta, r, (), Successful(w))
 
-    # Each move shifts one bead r slots, so no bead passes slot `limit`.
-    limit = len(w.slots) - 1 + r * remaining
-    slots = list(w.slots) + [0] * (limit + 1 - len(w.slots))
+    # Each move shifts one bead r slots, so r * remaining slots of padding
+    # hold every landing.  The rightmost bead sits on slot end - 1.
+    end = len(w.slots)
+    slots = list(w.slots) + [0] * (r * remaining)
     steps: list[ProcessStep] = []
-
-    def record(i, bead, action, top=None):
-        steps.append(
-            ProcessStep(i, bead, action, _abacus(w, slots), tuple(alpha), top)
-        )
-
     last_source = -1
     last_top = w.n_beads + 1
-    for i in range(limit + 1):
-        bead = slots[i]
-        if bead == 0:
+    for i, bead in enumerate(slots):
+        if not bead:
             if record_steps:
-                record(i, 0, "skip-empty")
-        elif alpha[bead - 1] == 0:
+                steps.append(_step(w, slots, end, alpha, i, 0, "skip-empty"))
+        elif not alpha[bead - 1]:
             if record_steps:
-                record(i, bead, "skip-exhausted")
+                steps.append(_step(w, slots, end, alpha, i, bead, "skip-exhausted"))
         else:
-            blocker = slots[i + r]
+            target = i + r
+            blocker = slots[target]
             if blocker:
                 if record_steps:
-                    record(i, bead, "collided")
-                return ProcessTrace(
-                    w, beta, r, tuple(steps), Unsuccessful(bead, blocker, i)
-                )
+                    steps.append(_step(w, slots, end, alpha, i, bead, "collided"))
+                return _trace(w, beta, r, tuple(steps), _collision(bead, blocker, i))
             slots[i] = 0
-            slots[i + r] = bead
+            slots[target] = bead
             alpha[bead - 1] -= 1
             remaining -= 1
+            if target >= end:
+                end = target + 1
             # Rank of the landing slot: 1 + the beads to its right.
-            right = slots[i + r + 1:]
+            right = slots[target + 1:end]
             top = 1 + len(right) - right.count(0)
             # Completed runs realise the strictly-increasing-source /
             # weakly-decreasing-top pattern that indexes move sequences.
@@ -206,17 +232,23 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
                 raise RuntimeError(f"move from slot {i} breaks the scan order")
             last_source, last_top = i, top
             if record_steps:
-                record(i, bead, "moved", top)
+                steps.append(_step(w, slots, end, alpha, i, bead, "moved", top))
             if remaining == 0:
-                return ProcessTrace(
-                    w, beta, r, tuple(steps), Successful(_abacus(w, slots))
+                return _trace(
+                    w, beta, r, tuple(steps), Successful(_abacus(w, slots, end))
                 )
     raise RuntimeError("scan passed every bead with budget left")
 
 
-def _abacus(w: LabelledAbacus, slots: list[int]) -> LabelledAbacus:
-    """w's beads placed as on the scan's slot list, padding trimmed."""
-    return w._placed(range(len(slots)), slots)
+def _step(w, slots, end, alpha, i, bead, action, top=None) -> ProcessStep:
+    """The scan's state after the event at slot i, as a recorded step."""
+    return ProcessStep(i, bead, action, _abacus(w, slots, end), tuple(alpha), top)
+
+
+def _abacus(w: LabelledAbacus, slots: list[int], end: int) -> LabelledAbacus:
+    """w's beads placed as on the scan's slot list, whose last bead is on
+    slot end - 1."""
+    return LabelledAbacus._unchecked(tuple(slots[:end]), w.n_beads)
 
 
 def epsilon(w: LabelledAbacus, beta, r: int):
@@ -230,25 +262,33 @@ def epsilon(w: LabelledAbacus, beta, r: int):
     process once; verify_process_identity calls it once per aborted pair
     and checks that it maps back by looking the partner's own partner up.
     """
-    beta = _composition(beta, w.n_beads)
     trace = run_process(w, beta, r, record_steps=False)
     if trace.successful:
         raise ValueError("epsilon is defined only for aborted pairs")
-    return _partner(w, beta, r, trace.outcome)
+    return _partner(w, trace.beta, r, trace.outcome)
 
 
 def _partner(w: LabelledAbacus, beta: Composition, r: int, outcome: Unsuccessful):
     """epsilon's partner of (w, beta), read off the collision its run ended
-    in, without running the process again."""
+    in, without running the process again.  The two beads' slots are found
+    once each and swapped in one copy of w's slot tuple."""
     bead = outcome.bead
     blocker = outcome.blocker
-    delta, rest = divmod(w.position(blocker) - w.position(bead), r)
+    slots = list(w.slots)
+    at_bead = slots.index(bead)
+    at_blocker = slots.index(blocker)
+    delta, rest = divmod(at_blocker - at_bead, r)
     entries = list(beta.entries)
     entries[bead - 1] -= delta
     entries[blocker - 1] += delta
     if delta <= 0 or rest or entries[bead - 1] < 0:
         raise RuntimeError(f"collision of beads {bead} and {blocker} has no partner")
-    return w.swap(bead, blocker), Composition._unchecked(tuple(entries))
+    slots[at_bead] = blocker
+    slots[at_blocker] = bead
+    return (
+        LabelledAbacus._unchecked(tuple(slots), w.n_beads),
+        Composition._unchecked(tuple(entries)),
+    )
 
 
 def psi(w: LabelledAbacus, beta, r: int) -> LabelledAbacus:

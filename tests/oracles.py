@@ -6,7 +6,9 @@ the package uses, so the two routes fail independently.  The exceptions
 are references for faster package code: naive_alternant_product
 multiplies every monomial out, eliminated_alternant_eval reduces the full
 N x N alternant matrix mod p, scan_by_r_move runs the bead-scanning
-process on immutable abaci, one r_move per move, supersets_by_shapes
+process on immutable abaci, one r_move per move, partner_by_swap reads
+epsilon's partner off a collision through LabelledAbacus.position and
+.swap, supersets_by_shapes
 checks every shape the strip search reaches as a Partition, and
 iterated_by_shapes folds the factors of an iterated expansion one
 enumerate_supersets call per shape.
@@ -252,6 +254,21 @@ def scan_by_r_move(w, beta, r: int, record_steps: bool = True) -> ProcessTrace:
                 return ProcessTrace(w, beta, r, tuple(steps), Successful(v))
         i += 1
     raise RuntimeError("scan passed every bead with budget left")
+
+
+def partner_by_swap(w, beta, r: int, outcome):
+    """epsilon's partner of an aborted pair (w, beta), read off the collision
+    `outcome` its run ended in: the colliding beads trade slots through
+    LabelledAbacus.swap, and the bead's budget entry hands the r-steps
+    between their slots, found by LabelledAbacus.position, to the blocker."""
+    bead, blocker = outcome.bead, outcome.blocker
+    delta, rest = divmod(w.position(blocker) - w.position(bead), r)
+    entries = list(beta.entries)
+    entries[bead - 1] -= delta
+    entries[blocker - 1] += delta
+    if delta <= 0 or rest or entries[bead - 1] < 0:
+        raise RuntimeError(f"collision of beads {bead} and {blocker} has no partner")
+    return w.swap(bead, blocker), Composition(tuple(entries))
 
 
 def supersets_by_shapes(

@@ -12,7 +12,7 @@ from oracles import (
     single_strip_rule,
     young_rule,
 )
-from plethax import expansion
+from plethax import expansion, process
 from plethax import (
     Composition,
     LabelledAbacus,
@@ -264,6 +264,24 @@ def test_verify_process_reads_each_labelling_once(monkeypatch):
     labellings = math.factorial(5) * (1 + len(pmn_expand(mu, 2, 2)))
     assert len(read) == len(set(read)) <= labellings
     assert 3 * len(read) < report.n_pairs
+
+
+def test_verify_process_runs_each_pair_once(monkeypatch):
+    """One sweep run per pair and one epsilon run per aborted pair, with no
+    run repeated, and none remembered within a call or across calls."""
+    runs = []
+    run = process.run_process
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(process, "run_process", counting)
+    for _ in range(2):
+        runs.clear()
+        report = verify_process_identity(Partition((1,)), 2, 2, 5)
+        assert report.ok and (report.n_pairs, report.n_aborted) == (1800, 1440)
+        assert len(runs) == report.n_pairs + report.n_aborted == 3240
 
 
 def test_verify_modular_reaches_24_variables():

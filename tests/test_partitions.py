@@ -51,6 +51,22 @@ def test_constructor_rejects_bad_input():
         Partition((3, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: Partition((1.5,)), "1.5"),
+        (lambda: Partition(("2",)), "'2'"),
+        (lambda: Partition((3, 2.0)), "2.0"),
+        (lambda: partition_from_positions((2.5, 0)), "2.5"),
+        (lambda: partition_from_positions(("1", 0)), "'1'"),
+    ],
+    ids=["part-float", "part-str", "part-integral-float", "position-float", "position-str"],
+)
+def test_non_integral_entries_are_rejected(build, bad):
+    with pytest.raises(ValueError, match=re.escape(f"expected an integer entry, got {bad}")):
+        build()
+
+
 def test_part_accessor():
     lam = Partition((5, 3, 3))
     assert [lam.part(i) for i in range(1, 6)] == [5, 3, 3, 0, 0]

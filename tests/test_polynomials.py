@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,21 @@ def test_polynomial_validation():
         SparsePolynomial(2) + SparsePolynomial(3)
     with pytest.raises(TypeError):
         SparsePolynomial(2) + 7
+
+
+@pytest.mark.parametrize(
+    "terms, bad",
+    [
+        ({(1.5, 0): 1}, "1.5"),
+        ({(1, "2"): 1}, "'2'"),
+        ({(1, 0): 2.5}, "2.5"),
+        ({(1, 0): "3"}, "'3'"),
+    ],
+    ids=["exponent-float", "exponent-str", "coefficient-float", "coefficient-str"],
+)
+def test_polynomial_rejects_non_integral_entries(terms, bad):
+    with pytest.raises(ValueError, match=re.escape(f"expected an integer entry, got {bad}")):
+        SparsePolynomial(2, terms)
 
 
 def test_grevlex_render_order():

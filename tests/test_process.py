@@ -5,11 +5,11 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import plethax
-from oracles import scan_by_r_move
+from oracles import partner_by_swap, scan_by_r_move
 from test_abacus import abacus_st
 from plethax import (
     Composition,
@@ -286,6 +286,19 @@ def test_slot_list_scan_matches_r_move_scan(w, r, record_steps, data):
     )
     trace = run_process(w, beta, r, record_steps)
     assert trace == scan_by_r_move(w, beta, r, record_steps)
+
+
+@given(abacus_st(), st.integers(1, 4), st.data())
+def test_epsilon_matches_the_partner_built_by_swap(w, r, data):
+    beta = data.draw(
+        st.lists(st.integers(0, 3), min_size=w.n_beads, max_size=w.n_beads)
+    )
+    trace = run_process(w, beta, r, record_steps=False)
+    assume(not trace.successful)
+    w2, beta2 = epsilon(w, beta, r)
+    ref, ref_beta = partner_by_swap(w, trace.beta, r, trace.outcome)
+    assert (w2.slots, w2.n_beads) == (ref.slots, ref.n_beads)
+    assert beta2.entries == ref_beta.entries
 
 
 def test_scan_order_guard_fires_on_an_undercounted_abacus():

@@ -8,7 +8,8 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
 
 - `trace`, plain and json: 400 random abaci drawn as the `queries`
   workload draws them (3 to 7 beads on slots 0..N+3, 1 to 4 moves, r 1..3),
-  and every canonical abacus of a partition of at most 3 on 3 or 4 beads
+  400 wider ones that workload never draws (5 to 7 beads on slots 0..N+3,
+  0 to 6 moves, r 4 or 5), and every canonical abacus of a partition of at most 3 on 3 or 4 beads
   with every budget of total 1 or 2 and r 1..3 (`--canonical`);
 - `verify --mode process`, plain and json, on every case of the
   `verify-process` workload's strata (N <= 5, |mu| <= 3, r, m <= 3);
@@ -69,21 +70,23 @@ def text(parts):
     return ",".join(str(p) for p in parts)
 
 
-def random_trace(rng):
-    n = rng.randint(3, 7)
+def random_trace(rng, beads=(3, 7), moves=(1, 4), shifts=(1, 3)):
+    n = rng.randint(*beads)
     slots = rng.sample(range(n + 4), n)
     labels = rng.sample(range(1, n + 1), n)
     beta = [0] * n
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(*moves)):
         beta[rng.randrange(n)] += 1
     pairs = ",".join(f"{p}:{b}" for p, b in sorted(zip(slots, labels)))
-    return ["trace", "--abacus", pairs, "--beta", text(beta), "--r", str(rng.randint(1, 3))]
+    return ["trace", "--abacus", pairs, "--beta", text(beta), "--r", str(rng.randint(*shifts))]
 
 
 def requests():
     """(kind, perturbation, argv) for every request, in a fixed order."""
     rng = random.Random(0)
     traces = [random_trace(rng) for _ in range(400)]
+    wide = random.Random(1)
+    traces += [random_trace(wide, beads=(5, 7), moves=(0, 6), shifts=(4, 5)) for _ in range(400)]
     traces += [
         ["trace", "--canonical", "--mu", text(mu), "--N", str(n), "--beta", text(beta), "--r", str(r)]
         for n in (3, 4)
@@ -210,6 +213,7 @@ def main(old_root, new_root):
         key = f"{kind} {argv[-1]}"
         if kind == "trace":
             key += " --canonical" * ("--canonical" in argv)
+            key += " r 4-5" * (int(argv[argv.index("--r") + 1]) > 3)
             key += " aborted" if "unsuccessful" in b[1] else " completed"
         elif kind == "expand":
             if "--rho" in argv:
