@@ -8,10 +8,9 @@ multiplies every monomial out, eliminated_alternant_eval reduces the full
 N x N alternant matrix mod p, scan_by_r_move runs the bead-scanning
 process on immutable abaci, one r_move per move, partner_by_swap reads
 epsilon's partner off a collision through LabelledAbacus.position and
-.swap, supersets_by_shapes
-checks every shape the strip search reaches as a Partition, and
-iterated_by_shapes folds the factors of an iterated expansion one
-enumerate_supersets call per shape.
+.swap, supersets_by_shapes checks every shape the strip search reaches
+as a Partition, and iterated_by_shapes folds the factors of an iterated
+expansion one enumerate_supersets call per shape.
 """
 
 from itertools import combinations

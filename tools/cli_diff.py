@@ -9,8 +9,9 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
 - `trace`, plain and json: 400 random abaci drawn as the `queries`
   workload draws them (3 to 7 beads on slots 0..N+3, 1 to 4 moves, r 1..3),
   400 wider ones that workload never draws (5 to 7 beads on slots 0..N+3,
-  0 to 6 moves, r 4 or 5), and every canonical abacus of a partition of at most 3 on 3 or 4 beads
-  with every budget of total 1 or 2 and r 1..3 (`--canonical`);
+  0 to 6 moves, r 4 or 5), and every canonical abacus of a partition of
+  at most 3 on 3 or 4 beads with every budget of total 1 or 2 and r 1..3
+  (`--canonical`);
 - `verify --mode process`, plain and json, on every case of the
   `verify-process` workload's strata (N <= 5, |mu| <= 3, r, m <= 3);
 - two failing process verifies in each format: the expansion with its
