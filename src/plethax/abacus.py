@@ -14,9 +14,10 @@ ignores trailing empty slots.
 
 from dataclasses import dataclass
 from itertools import permutations, zip_longest
+from math import factorial
 
 from .partitions import Partition, _shape_at, bead_positions
-from .polynomials import _integer, permutation_sign
+from .polynomials import _check_budget, _integer, permutation_sign
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,20 +288,17 @@ def canonical_abacus(mu: Partition, n_beads: int) -> LabelledAbacus:
     )
 
 
-def all_abaci(lam: Partition, n_beads: int, max_beads: int = 9):
-    """Yield all n! labellings of the runner positions of lam.
+def all_abaci(lam: Partition, n_beads: int):
+    """An iterator over all n! labellings of the runner positions of lam.
 
-    The first abacus yielded is canonical_abacus(lam, n_beads).  Guarded at
-    max_beads (default 9) because the count is n_beads factorial; pass a
-    bigger max_beads deliberately to go past it.
+    The first abacus is canonical_abacus(lam, n_beads).  The count n! is
+    checked against pair_budget() at the call, which raises GuardError
+    past it; the labellings are generated lazily.
     """
-    if n_beads > max_beads:
-        raise ValueError(
-            f"{n_beads}! abaci is past the guard ({max_beads}); "
-            f"pass max_beads={n_beads} to force enumeration"
-        )
+    _check_budget(factorial(n_beads), "labellings")
     canonical = canonical_abacus(lam, n_beads)
     positions = canonical.support()
-    for perm in permutations(range(1, n_beads + 1)):
-        yield canonical._placed(positions, perm)
-
+    return (
+        canonical._placed(positions, perm)
+        for perm in permutations(range(1, n_beads + 1))
+    )

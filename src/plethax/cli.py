@@ -101,14 +101,6 @@ def _record(command: str, inputs: dict, result: dict) -> str:
     )
 
 
-def expansion_from_json(text: str) -> SchurExpansion:
-    """Rebuild the expansion from a JSON record printed by `expand`."""
-    record = json.loads(text)
-    if record.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {record.get('schema')!r}")
-    return SchurExpansion.from_records(record["result"]["terms"])
-
-
 def _cmd_expand(args) -> int:
     mu = parse_partition(args.mu)
     iterated = args.rho is not None or args.nu is not None

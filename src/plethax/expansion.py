@@ -20,16 +20,10 @@ from .partitions import (
     _shape_at,
     bead_positions,
     enumerate_supersets,
-    sgn_r,
 )
-# SparsePolynomial, a_beta and a_beta_eval are not used here; they stay
-# bound because the benchmark (bench/tracing.py, bench/test_bench.py)
-# reaches them by name in this module.
-from .polynomials import (  # noqa: F401
-    SparsePolynomial,
+from .polynomials import (
     _alternants_at,
-    a_beta,
-    a_beta_eval,
+    _integer,
     alternant_guard,
     h_eval,
     h_poly,
@@ -39,8 +33,11 @@ from .polynomials import (  # noqa: F401
     straighten_product,
 )
 from .process import _budget_weight, _composition, enumerate_pairs, epsilon
-# weight_with_budget is not used here either; it stays bound for the
-# benchmark's tracer (bench/tracing.py), like the block above.
+# sgn_r, SparsePolynomial, a_beta, a_beta_eval and weight_with_budget are not
+# used here; they stay bound because the benchmark (bench/tracing.py,
+# bench/test_bench.py) reaches them by name in this module.
+from .partitions import sgn_r  # noqa: F401
+from .polynomials import SparsePolynomial, a_beta, a_beta_eval  # noqa: F401
 from .process import weight_with_budget  # noqa: F401
 
 
@@ -57,7 +54,7 @@ class SchurExpansion:
         cleaned: dict[Partition, int] = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
         for lam, c in items:
-            c = cleaned.pop(lam, 0) + int(c)
+            c = cleaned.pop(lam, 0) + _integer(c)
             if c:
                 cleaned[lam] = c
         sizes = {lam.size for lam in cleaned}
@@ -97,12 +94,6 @@ class SchurExpansion:
         return [
             {"partition": list(lam.parts), "coeff": c} for lam, c in self.items()
         ]
-
-    @classmethod
-    def from_records(cls, records):
-        return cls(
-            (Partition(rec["partition"]), rec["coeff"]) for rec in records
-        )
 
 
 def pmn_expand(mu: Partition, r: int, m: int) -> SchurExpansion:
@@ -215,7 +206,7 @@ def verify_against_oracle(
             alternant = _alternants_at(point)
             lhs_val = (
                 alternant(mu_beta)
-                * h_eval([pow(v, r, p) for v in point.values], m, p)
+                * h_eval([pow(v, r, p) for v in point.values], m)
                 % p
             )
             rhs_val = 0
@@ -352,7 +343,7 @@ def verify_process_identity(
             return "aborted pairs do not cancel"
         for lam, c in sign_of.items():
             hits = images.get(lam, set())
-            expected = set(all_abaci(lam, n_beads, max_beads=n_beads))
+            expected = set(all_abaci(lam, n_beads))
             if hits != expected:
                 return f"completed pairs miss {len(expected - hits)} labellings of {lam}"
             for u in expected:

@@ -13,15 +13,21 @@ only to evaluate alternants too large to expand, at seeded points modulo
 one fixed prime.  There each alternant is the Vandermonde determinant times
 a Jacobi-Trudi determinant of at most min(rows, columns) of its shape, over
 e_k and h_k tables built once per point.
+
+The package's size guards live here too, as this module imports nothing
+from the package; each raises GuardError naming its budget.
 """
 
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import add, index
+from typing import ClassVar
 
 DEFAULT_PRIME = 2_147_483_647  # 2**31 - 1
+DEFAULT_PAIR_BUDGET = 10_000_000
 
 
 def compositions(total: int, length: int):
@@ -51,13 +57,59 @@ def _integer(value) -> int:
         raise ValueError(f"expected an integer entry, got {value!r}") from None
 
 
+def _integers(values) -> tuple[int, ...]:
+    """values as a tuple of ints, converted in one pass; on a non-integral
+    entry _integer names the first one."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return tuple(map(_integer, values))
+
+
 class GuardError(ValueError):
-    """A size guard tripped: `what` names it, and the message adds how to
-    lift it from a library call."""
+    """A size guard tripped: `what` names it and its budget, and the message
+    adds how to lift it."""
 
     def __init__(self, what: str, hint: str):
         super().__init__(f"{what}; {hint}")
         self.what = what
+
+
+def pair_budget() -> int:
+    """Enumeration cap; override with the PLETHAX_BUDGET environment variable,
+    which must hold a positive integer."""
+    raw = os.environ.get("PLETHAX_BUDGET")
+    if raw is None:
+        return DEFAULT_PAIR_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"PLETHAX_BUDGET must be a positive integer, got {raw!r}")
+    return budget
+
+
+def _check_budget(count: int, what: str):
+    """Raise GuardError when count items of the named kind are past
+    pair_budget()."""
+    budget = pair_budget()
+    if count > budget:
+        raise GuardError(
+            f"{count} {what} exceeds the enumeration budget {budget}",
+            "set PLETHAX_BUDGET higher to proceed",
+        )
+
+
+def alternant_guard(n_vars: int, max_vars: int) -> None:
+    """Raise GuardError when n_vars is past the exact alternant routes'
+    guard of max_vars variables."""
+    if n_vars > max_vars:
+        raise GuardError(
+            f"{n_vars}-variable alternant is past the guard ({max_vars})",
+            f"pass max_vars={n_vars} to force the symbolic expansion",
+        )
 
 
 def _grevlex_key(exponents):
@@ -179,36 +231,6 @@ class SparsePolynomial:
             total = (total + term) % p
         return total
 
-    def render(self) -> str:
-        """One term per line, 'coeff * x1^e1 x3^e3' style, grevlex order.
-
-        Zero exponents are omitted; the zero polynomial renders as '0'.
-        """
-        if self.is_zero:
-            return "0"
-        lines = []
-        for exps, coeff in self.sorted_terms():
-            vars_part = " ".join(
-                f"x{i}" if e == 1 else f"x{i}^{e}"
-                for i, e in enumerate(exps, start=1)
-                if e
-            )
-            lines.append(f"{coeff} * {vars_part}" if vars_part else str(coeff))
-        return "\n".join(lines)
-
-    def to_records(self) -> list[dict]:
-        """JSON-ready term list in grevlex order."""
-        return [
-            {"coeff": coeff, "exponents": list(exps)}
-            for exps, coeff in self.sorted_terms()
-        ]
-
-    @classmethod
-    def from_records(cls, n_vars: int, records):
-        return cls(
-            n_vars, ((tuple(rec["exponents"]), rec["coeff"]) for rec in records)
-        )
-
     def __repr__(self):
         return f"SparsePolynomial({self.n_vars}, {self.terms!r})"
 
@@ -269,19 +291,9 @@ def _permutation_signs(n: int) -> tuple[int, ...]:
     return tuple(permutation_sign(p) for p in permutations(range(n)))
 
 
-def alternant_guard(n_vars: int, max_vars: int) -> None:
-    """Raise GuardError when n_vars is past the exact alternant routes'
-    guard of max_vars variables."""
-    if n_vars > max_vars:
-        raise GuardError(
-            f"{n_vars}-variable alternant is past the guard ({max_vars})",
-            f"pass max_vars={n_vars} to force the symbolic expansion",
-        )
-
-
 def _alternant_exponents(beta, max_vars: int) -> tuple[int, ...]:
     """beta as a tuple of nonnegative ints, within the max_vars guard."""
-    beta = tuple(int(b) for b in beta)
+    beta = _integers(beta)
     if any(b < 0 for b in beta):
         raise ValueError(f"exponents must be nonnegative: {beta}")
     alternant_guard(len(beta), max_vars)
@@ -340,23 +352,19 @@ class EvalPoint:
     """Coordinates for modular evaluation, all reduced modulo `prime`."""
 
     values: tuple[int, ...]
-    prime: int = DEFAULT_PRIME
+    prime: ClassVar[int] = DEFAULT_PRIME
 
     def __post_init__(self):
-        if self.prime <= 2**30:
-            raise ValueError(f"prime must exceed 2**30, got {self.prime}")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", _integers(self.values))
         if any(not 0 <= v < self.prime for v in self.values):
             raise ValueError("coordinates must lie in [0, prime)")
 
 
-def seeded_points(
-    n_vars: int, count: int, seed: int, prime: int = DEFAULT_PRIME
-) -> list[EvalPoint]:
+def seeded_points(n_vars: int, count: int, seed: int) -> list[EvalPoint]:
     """Deterministic evaluation points: uniform coordinates from `seed`."""
     rng = random.Random(seed)
     return [
-        EvalPoint(tuple(rng.randrange(prime) for _ in range(n_vars)), prime)
+        EvalPoint(tuple(rng.randrange(DEFAULT_PRIME) for _ in range(n_vars)))
         for _ in range(count)
     ]
 
@@ -419,7 +427,7 @@ def _alternants_at(point: EvalPoint):
         return e[k] if 0 <= k <= n else 0
 
     def alternant(beta) -> int:
-        beta = tuple(map(int, beta))
+        beta = _integers(beta)
         if len(beta) != n:
             raise ValueError(f"point has {n} coordinates, need {len(beta)}")
         if beta and min(beta) < 0:
@@ -456,15 +464,17 @@ def a_beta_eval(beta, point: EvalPoint) -> int:
     return _alternants_at(point)(beta)
 
 
-def h_eval(values, m: int, prime: int = DEFAULT_PRIME) -> int:
-    """Complete homogeneous sum of degree m at the given coordinates mod prime.
+def h_eval(values, m: int) -> int:
+    """Complete homogeneous sum of degree m at the given coordinates, modulo
+    DEFAULT_PRIME.
 
     Power sums feed the recurrence k*h_k = sum_j p_j * h_{k-j}, so no
     exponential term expansion is needed.
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
-    values = [int(v) % prime for v in values]
+    prime = DEFAULT_PRIME
+    values = [v % prime for v in _integers(values)]
     psums = [
         sum(pow(v, k, prime) for v in values) % prime for k in range(1, m + 1)
     ]

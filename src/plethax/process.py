@@ -13,39 +13,14 @@ labelled abaci of the grown shapes via `psi`.  Together these two maps are
 the engine behind the expansion module.
 """
 
-import os
 from dataclasses import dataclass
 from math import comb, factorial
 
 from .abacus import LabelledAbacus, Monomial, all_abaci
 from .partitions import Partition, SkewPartition, r_decompose
-from .polynomials import _integer, compositions
-
-DEFAULT_PAIR_BUDGET = 10_000_000
-
-
-def pair_budget() -> int:
-    """Enumeration cap; override with the PLETHAX_BUDGET environment variable,
-    which must hold a positive integer."""
-    raw = os.environ.get("PLETHAX_BUDGET")
-    if raw is None:
-        return DEFAULT_PAIR_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError(f"PLETHAX_BUDGET must be a positive integer, got {raw!r}")
-    return budget
-
-
-def _check_budget(count: int, what: str):
-    budget = pair_budget()
-    if count > budget:
-        raise ValueError(
-            f"{count} {what} exceeds the enumeration budget {budget}; "
-            f"set PLETHAX_BUDGET higher to proceed"
-        )
+from .polynomials import _check_budget, _integer, compositions
+# pair_budget is not used here; it stays importable from this module.
+from .polynomials import pair_budget  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,20 +275,22 @@ def psi(w: LabelledAbacus, beta, r: int) -> LabelledAbacus:
 
 
 def enumerate_pairs(mu: Partition, n_beads: int, r: int, m: int):
-    """Yield (abacus, composition, trace) over every labelling of mu times
-    every budget of total m.
+    """An iterator of (abacus, composition, trace) over every labelling of
+    mu times every budget of total m.
 
     Labellings come in the order of all_abaci, each with all its budgets in
     a row.  The budgets are built once and shared by every labelling, so a
     budget yielded twice is the same Composition object.  The number of
-    pairs is n! * C(m+n-1, n-1); enumeration refuses to start past
-    pair_budget().
+    pairs is n! * C(m+n-1, n-1); past pair_budget() the call raises
+    GuardError before any pair is run.
     """
     _check_budget(factorial(n_beads) * comb(m + n_beads - 1, n_beads - 1), "pairs")
     budgets = [Composition._unchecked(entries) for entries in compositions(m, n_beads)]
-    for w in all_abaci(mu, n_beads, max_beads=n_beads):
-        for beta in budgets:
-            yield w, beta, run_process(w, beta, r, record_steps=False)
+    return (
+        (w, beta, run_process(w, beta, r, record_steps=False))
+        for w in all_abaci(mu, n_beads)
+        for beta in budgets
+    )
 
 
 def k_set(mu: Partition, lam: Partition, n_beads: int, r: int, m: int):
@@ -323,16 +300,16 @@ def k_set(mu: Partition, lam: Partition, n_beads: int, r: int, m: int):
 
     Either empty or of size n_beads factorial: the shape chain of any valid
     sequence is forced, so each final labelling extends backwards uniquely
-    by undoing one strip per step, rightmost rank first.
+    by undoing one strip per step, rightmost rank first.  Past
+    pair_budget() labellings, all_abaci raises GuardError.
     """
     if lam.size - mu.size != r * m or not lam.contains(mu):
         return []
     chain = r_decompose(SkewPartition(lam, mu), r)
     if chain is None:
         return []
-    _check_budget(factorial(n_beads), "sequences")
     sequences = []
-    for final in all_abaci(lam, n_beads, max_beads=n_beads):
+    for final in all_abaci(lam, n_beads):
         seq = [final]
         sources = []
         v = final

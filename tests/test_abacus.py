@@ -18,6 +18,7 @@ from plethax import (
     partitions_of,
     weight_with_budget,
 )
+from plethax.polynomials import GuardError
 
 
 @st.composite
@@ -207,11 +208,11 @@ def test_all_abaci_enumeration(lam):
 
 
 def test_all_abaci_guard():
-    with pytest.raises(ValueError):
-        next(all_abaci(Partition(), 10))
-    # explicit override lifts the guard
-    first = next(all_abaci(Partition(), 10, max_beads=10))
+    # 10! labellings fit the default enumeration budget of 10,000,000; 11! do not.
+    first = next(all_abaci(Partition(), 10))
     assert first == canonical_abacus(Partition(), 10)
+    with pytest.raises(GuardError, match="^39916800 labellings exceeds the enumeration budget"):
+        all_abaci(Partition(), 11)
 
 
 @given(st.integers(0, 6), st.data())

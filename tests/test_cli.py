@@ -10,7 +10,7 @@ import pytest
 import plethax.cli as cli
 import plethax.process as process
 from plethax import Partition, pmn_expand, pmn_expand_iterated
-from plethax.cli import expansion_from_json, main
+from plethax.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -59,7 +59,7 @@ def test_expand_json_round_trip(capsys):
     assert record["schema"] == 1
     assert record["command"] == "expand"
     assert record["inputs"] == {"mu": [2, 1], "r": 2, "m": 1}
-    assert expansion_from_json(out) == pmn_expand(Partition((2, 1)), 2, 1)
+    assert record["result"]["terms"] == pmn_expand(Partition((2, 1)), 2, 1).to_records()
 
 
 def test_expand_iterated_json(capsys):
@@ -68,14 +68,9 @@ def test_expand_iterated_json(capsys):
         "--format", "json",
     )
     assert code == 0
-    assert expansion_from_json(out) == pmn_expand_iterated(
+    assert json.loads(out)["result"]["terms"] == pmn_expand_iterated(
         Partition((1,)), Partition((2, 1)), Partition((2,))
-    )
-
-
-def test_expansion_from_json_rejects_other_schemas():
-    with pytest.raises(ValueError):
-        expansion_from_json(json.dumps({"schema": 99, "result": {"terms": []}}))
+    ).to_records()
 
 
 def test_sgn_chain_output(capsys):
@@ -308,6 +303,19 @@ def test_bad_pair_budget_names_the_variable(capsys, monkeypatch, raw):
         capsys, "verify", "--mu", "", "--r", "1", "--m", "1", "--N", "2",
         "--mode", "process",
     ) == (1, "", f"error: PLETHAX_BUDGET must be a positive integer, got '{raw}'\n")
+
+
+def test_process_budget_error_names_plethax_budget_not_modular_mode(capsys, monkeypatch):
+    monkeypatch.setenv("PLETHAX_BUDGET", "10")
+    assert run_cli(
+        capsys, "verify", "--mu", "", "--r", "1", "--m", "1", "--N", "3",
+        "--mode", "process",
+    ) == (
+        1,
+        "",
+        "error: 18 pairs exceeds the enumeration budget 10; "
+        "set PLETHAX_BUDGET higher to proceed\n",
+    )
 
 
 def test_symbolic_guard_points_cli_users_at_modular_mode(capsys):

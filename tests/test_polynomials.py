@@ -14,7 +14,10 @@ from oracles import (
     naive_alternant_product,
 )
 from plethax import (
+    DEFAULT_PRIME,
     EvalPoint,
+    Partition,
+    SchurExpansion,
     SparsePolynomial,
     a_beta,
     a_beta_eval,
@@ -103,14 +106,6 @@ def test_grevlex_render_order():
     assert order == [
         (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2),
     ]
-    assert f.render().splitlines()[0] == "1 * x1^2"
-    assert SparsePolynomial(2).render() == "0"
-    assert SparsePolynomial(2, {(0, 0): 5}).render() == "5"
-
-
-def test_records_round_trip():
-    f = SparsePolynomial(3, {(2, 0, 1): -4, (0, 0, 0): 7})
-    assert SparsePolynomial.from_records(3, f.to_records()) == f
 
 
 @given(poly_st(), poly_st(), poly_st())
@@ -189,11 +184,28 @@ def test_schur_21_from_alternant_ratio():
 
 def test_eval_point_validation():
     with pytest.raises(ValueError):
-        EvalPoint((1, 2), prime=97)
-    with pytest.raises(ValueError):
         EvalPoint((-1,))
+    with pytest.raises(ValueError):
+        EvalPoint((DEFAULT_PRIME,))
     pt = EvalPoint((5, 7))
     assert pt.values == (5, 7)
+    assert pt.prime == DEFAULT_PRIME
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SchurExpansion({Partition((1,)): 1.5}),
+        lambda: a_beta((1.5, 0)),
+        lambda: EvalPoint((1.5, 2)),
+        lambda: a_beta_eval((1.5, 0), EvalPoint((3, 5))),
+        lambda: h_eval((1.5, 2), 2),
+    ],
+    ids=["schur-coefficient", "a_beta", "eval-point", "a_beta_eval", "h_eval"],
+)
+def test_entry_points_reject_non_integral_entries(call):
+    with pytest.raises(ValueError, match=re.escape("expected an integer entry, got 1.5")):
+        call()
 
 
 def test_seeded_points_are_deterministic():

@@ -29,6 +29,7 @@ from plethax import (
     run_process,
     weight_with_budget,
 )
+from plethax.polynomials import GuardError
 
 
 def test_composition_basics():
@@ -156,11 +157,31 @@ def test_enumerate_pairs_count():
 
 
 def test_enumeration_budget_guard(monkeypatch):
-    monkeypatch.setenv("PLETHAX_BUDGET", "10")
-    with pytest.raises(ValueError):
-        list(enumerate_pairs(Partition(), 3, 1, 2))
-    monkeypatch.setenv("PLETHAX_BUDGET", "100")
+    monkeypatch.setenv("PLETHAX_BUDGET", "35")
+    with pytest.raises(GuardError):
+        enumerate_pairs(Partition(), 3, 1, 2)
+    monkeypatch.setenv("PLETHAX_BUDGET", "36")
     assert len(list(enumerate_pairs(Partition(), 3, 1, 2))) == 36
+
+
+@pytest.mark.parametrize(
+    "enumerate_, count, what",
+    [
+        (lambda: enumerate_pairs(Partition(), 3, 1, 2), 36, "pairs"),
+        (lambda: all_abaci(Partition((1,)), 3), 6, "labellings"),
+        (lambda: k_set(Partition(), Partition((2,)), 3, 2, 1), 6, "labellings"),
+    ],
+    ids=["enumerate_pairs", "all_abaci", "k_set"],
+)
+def test_budget_guard_trips_at_the_call(monkeypatch, enumerate_, count, what):
+    monkeypatch.setenv("PLETHAX_BUDGET", "5")
+    message = (
+        f"{count} {what} exceeds the enumeration budget 5; "
+        "set PLETHAX_BUDGET higher to proceed"
+    )
+    with pytest.raises(GuardError, match=f"^{re.escape(message)}$") as caught:
+        enumerate_()
+    assert caught.value.what == f"{count} {what} exceeds the enumeration budget 5"
 
 
 def test_k_set_goldens():
