@@ -123,7 +123,7 @@ class LabelledAbacus:
 
     @classmethod
     def from_positions(cls, items):
-        """Build from (position, label) pairs; duplicate positions are rejected."""
+        """Build from (position, label) pairs; repeated slots and labels < 1 raise."""
         filled: dict[int, int] = {}
         for pos, label in items:
             pos = _integer(pos)
@@ -131,7 +131,10 @@ class LabelledAbacus:
                 raise ValueError(f"slot index must be nonnegative, got {pos}")
             if pos in filled:
                 raise ValueError(f"two beads on slot {pos}")
-            filled[pos] = _integer(label)
+            label = _integer(label)
+            if label < 1:
+                raise ValueError(f"bead labels must be at least 1, got {label}")
+            filled[pos] = label
         size = max(filled) + 1 if filled else 0
         slots = [0] * size
         for pos, label in filled.items():

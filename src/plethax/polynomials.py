@@ -31,21 +31,24 @@ DEFAULT_PAIR_BUDGET = 10_000_000
 
 
 def compositions(total: int, length: int):
-    """Yield every tuple of `length` nonnegative ints summing to `total`."""
+    """An iterator over every tuple of `length` nonnegative ints summing to
+    `total`; the arguments are checked at the call."""
     if total < 0 or length < 0:
         raise ValueError("compositions need nonnegative total and length")
     if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for bars in combinations(range(total + length - 1), length - 1):
-        prev = -1
-        parts = []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(total + length - 1 - prev - 1)
-        yield tuple(parts)
+        return iter([()] if total == 0 else [])
+
+    def generate(n):
+        for bars in combinations(range(n), length - 1):
+            prev = -1
+            parts = []
+            for b in bars:
+                parts.append(b - prev - 1)
+                prev = b
+            parts.append(n - prev - 1)
+            yield tuple(parts)
+
+    return generate(total + length - 1)
 
 
 def _integer(value) -> int:
@@ -468,20 +471,16 @@ def h_eval(values, m: int) -> int:
     """Complete homogeneous sum of degree m at the given coordinates, modulo
     DEFAULT_PRIME.
 
-    Power sums feed the recurrence k*h_k = sum_j p_j * h_{k-j}, so no
-    exponential term expansion is needed.
+    h_0..h_m open the series prod_v 1/(1 - v*t); the factor of each
+    coordinate v is h_k += v * h_(k-1) for k = 1..m in turn.
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
     prime = DEFAULT_PRIME
-    values = [v % prime for v in _integers(values)]
-    psums = [
-        sum(pow(v, k, prime) for v in values) % prime for k in range(1, m + 1)
-    ]
     h = [1] + [0] * m
-    for k in range(1, m + 1):
-        acc = sum(psums[j - 1] * h[k - j] for j in range(1, k + 1)) % prime
-        h[k] = acc * pow(k, -1, prime) % prime
+    for v in _integers(values):
+        for k in range(1, m + 1):
+            h[k] = (h[k] + v * h[k - 1]) % prime
     return h[m]
 
 

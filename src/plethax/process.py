@@ -15,6 +15,7 @@ the engine behind the expansion module.
 
 from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from .abacus import LabelledAbacus, Monomial, all_abaci
 from .partitions import Partition, SkewPartition, r_decompose
@@ -71,8 +72,7 @@ def _composition(beta, n_beads: int) -> Composition:
     return beta
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessStep:
+class ProcessStep(NamedTuple):
     """One scan event: what happened at slot `position`.
 
     action is one of 'skip-empty', 'skip-exhausted', 'moved', 'collided'.
@@ -88,20 +88,17 @@ class ProcessStep:
     strip_top: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Successful:
+class Successful(NamedTuple):
     abacus: LabelledAbacus
 
 
-@dataclass(frozen=True, slots=True)
-class Unsuccessful:
+class Unsuccessful(NamedTuple):
     bead: int
     blocker: int
     position: int
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessTrace:
+class ProcessTrace(NamedTuple):
     initial: LabelledAbacus
     beta: Composition
     r: int
@@ -121,37 +118,6 @@ class ProcessTrace:
         return [self.initial.shape()] + [s.abacus.shape() for s in self.moves]
 
 
-# The scan builds one trace and one outcome per run.  Setting their slots
-# through the slot descriptors skips the frozen dataclasses' generated
-# __init__, which writes each field through object.__setattr__.
-_put_initial, _put_beta, _put_r, _put_steps, _put_outcome = (
-    vars(ProcessTrace)[name].__set__ for name in ProcessTrace.__slots__
-)
-_put_bead, _put_blocker, _put_position = (
-    vars(Unsuccessful)[name].__set__ for name in Unsuccessful.__slots__
-)
-
-
-def _trace(w, beta, r, steps, outcome) -> ProcessTrace:
-    """ProcessTrace(w, beta, r, steps, outcome), built as is."""
-    out = object.__new__(ProcessTrace)
-    _put_initial(out, w)
-    _put_beta(out, beta)
-    _put_r(out, r)
-    _put_steps(out, steps)
-    _put_outcome(out, outcome)
-    return out
-
-
-def _collision(bead, blocker, position) -> Unsuccessful:
-    """Unsuccessful(bead, blocker, position), built as is."""
-    out = object.__new__(Unsuccessful)
-    _put_bead(out, bead)
-    _put_blocker(out, blocker)
-    _put_position(out, position)
-    return out
-
-
 def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     """Scan the runner and spend the budget; returns the full ProcessTrace.
 
@@ -169,7 +135,7 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     alpha = list(beta.entries)
     remaining = sum(alpha)
     if remaining == 0:
-        return _trace(w, beta, r, (), Successful(w))
+        return ProcessTrace(w, beta, r, (), Successful(w))
 
     # Each move shifts one bead r slots, so r * remaining slots of padding
     # hold every landing.  The rightmost bead sits on slot end - 1.
@@ -191,7 +157,9 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
             if blocker:
                 if record_steps:
                     steps.append(_step(w, slots, end, alpha, i, bead, "collided"))
-                return _trace(w, beta, r, tuple(steps), _collision(bead, blocker, i))
+                return ProcessTrace(
+                    w, beta, r, tuple(steps), Unsuccessful(bead, blocker, i)
+                )
             slots[i] = 0
             slots[target] = bead
             alpha[bead - 1] -= 1
@@ -209,7 +177,7 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
             if record_steps:
                 steps.append(_step(w, slots, end, alpha, i, bead, "moved", top))
             if remaining == 0:
-                return _trace(
+                return ProcessTrace(
                     w, beta, r, tuple(steps), Successful(_abacus(w, slots, end))
                 )
     raise RuntimeError("scan passed every bead with budget left")
@@ -247,8 +215,7 @@ def _partner(w: LabelledAbacus, beta: Composition, r: int, outcome: Unsuccessful
     """epsilon's partner of (w, beta), read off the collision its run ended
     in, without running the process again.  The two beads' slots are found
     once each and swapped in one copy of w's slot tuple."""
-    bead = outcome.bead
-    blocker = outcome.blocker
+    bead, blocker, _ = outcome
     slots = list(w.slots)
     at_bead = slots.index(bead)
     at_blocker = slots.index(blocker)

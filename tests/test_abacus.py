@@ -78,6 +78,12 @@ def test_from_positions_rejects_duplicates():
         LabelledAbacus.from_positions([(-1, 1)])
 
 
+@pytest.mark.parametrize("label", [0, -2])
+def test_from_positions_rejects_labels_below_one(label):
+    with pytest.raises(ValueError, match=f"^bead labels must be at least 1, got {label}$"):
+        LabelledAbacus.from_positions([(0, 1), (1, label), (2, 2)])
+
+
 def test_golden_readings(abacus_533221):
     w = abacus_533221
     assert w.n_beads == 6

@@ -296,6 +296,12 @@ def test_input_errors_print_the_library_message(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+def test_trace_rejects_a_bead_labelled_zero(capsys):
+    assert run_cli(
+        capsys, "trace", "--abacus", "0:1,1:0,2:2", "--beta", "1,0", "--r", "1"
+    ) == (1, "", "error: bead labels must be at least 1, got 0\n")
+
+
 @pytest.mark.parametrize("raw", ["abc", "-5"])
 def test_bad_pair_budget_names_the_variable(capsys, monkeypatch, raw):
     monkeypatch.setenv("PLETHAX_BUDGET", raw)

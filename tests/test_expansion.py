@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -534,7 +533,7 @@ def test_verify_process_reports_completed_pair_changing_weight(monkeypatch):
         for w, beta, trace in real(mu, n_beads, r, m):
             if trace.successful:
                 slots = tuple(x % 3 + 1 if x else 0 for x in trace.outcome.abacus.slots)
-                trace = dataclasses.replace(trace, outcome=Successful(LabelledAbacus(slots)))
+                trace = trace._replace(outcome=Successful(LabelledAbacus(slots)))
             yield w, beta, trace
 
     monkeypatch.setattr(expansion, "enumerate_pairs", cycled)

@@ -47,6 +47,12 @@ def poly_st(draw, n_vars=3, max_terms=5, max_exp=4, max_coeff=6):
     return SparsePolynomial(n_vars, terms)
 
 
+def test_compositions_checks_arguments_at_the_call():
+    for total, length in [(2, -1), (-1, 2)]:
+        with pytest.raises(ValueError, match="nonnegative total and length"):
+            compositions(total, length)
+
+
 def test_compositions_counts_and_order():
     assert list(compositions(2, 3)) == [
         (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
@@ -288,13 +294,23 @@ def test_a_beta_eval_rejects_bad_exponents():
     assert a_beta_eval((), EvalPoint(())) == 1
 
 
-@given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 10**6))
-def test_h_eval_matches_expansion(n, m, seed):
+@given(
+    st.integers(1, 5),
+    st.integers(0, 6),
+    st.integers(0, 10**6),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+)
+def test_h_eval_matches_expansion(n, m, seed, shifts):
+    """h_eval works modulo the prime: shifting each coordinate by a
+    multiple of it, to a negative value or to one of at least the prime,
+    changes nothing."""
     point = seeded_points(n, 1, seed)[0]
+    shifted = [v + k * DEFAULT_PRIME for v, k in zip(point.values, shifts)]
     if m == 0:
-        assert h_eval(point.values, 0) == 1
+        assert h_eval(point.values, 0) == h_eval(shifted, 0) == 1
     else:
-        assert h_eval(point.values, m) == h_poly(m, n).evaluate(point)
+        expected = h_poly(m, n).evaluate(point)
+        assert h_eval(point.values, m) == h_eval(shifted, m) == expected
 
 
 def test_staircase_and_shifted_beta():

@@ -12,10 +12,13 @@ import plethax
 from oracles import partner_by_swap, scan_by_r_move
 from test_abacus import abacus_st
 from plethax import (
+    Collision,
     Composition,
     LabelledAbacus,
     Monomial,
     Partition,
+    ProcessStep,
+    ProcessTrace,
     Successful,
     Unsuccessful,
     all_abaci,
@@ -97,6 +100,33 @@ def test_golden_aborted_run(abacus_533221):
     assert not trace.successful
     assert trace.outcome == Unsuccessful(bead=4, blocker=1, position=1)
     assert trace.steps[-1].action == "collided"
+
+
+def test_process_records_are_immutable_named_tuples(abacus_533221):
+    """The records build by keyword, refuse field assignment, keep their
+    reprs, compare as tuples, and default strip_top to None."""
+    outcome = Unsuccessful(bead=4, blocker=1, position=1)
+    assert repr(outcome) == "Unsuccessful(bead=4, blocker=1, position=1)"
+    assert outcome == (4, 1, 1)
+    assert outcome != Collision(4, 1, 1)
+    step = ProcessStep(
+        position=0, bead=0, action="skip-empty", abacus=abacus_533221, alpha=(0,)
+    )
+    assert step.strip_top is None
+    assert repr(step).endswith("alpha=(0,), strip_top=None)")
+    trace = ProcessTrace(
+        initial=abacus_533221,
+        beta=Composition((0,) * 6),
+        r=1,
+        steps=(step,),
+        outcome=Successful(abacus=abacus_533221),
+    )
+    assert trace.successful and trace.moves == ()
+    assert repr(trace.outcome) == f"Successful(abacus={abacus_533221!r})"
+    for record, field in [(outcome, "bead"), (step, "strip_top"), (trace, "r")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+    assert trace._replace(r=2).r == 2 and trace.r == 1
 
 
 def test_scan_actions_are_recorded(abacus_533221):

@@ -16,6 +16,11 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
   `verify-process` workload's strata (N <= 5, |mu| <= 3, r, m <= 3);
 - two failing process verifies in each format: the expansion with its
   first sign flipped, and with its first term dropped;
+- `verify --mode symbolic`, plain and json, on every case of the
+  `verify-symbolic` workload's strata (4 <= N <= 7, |mu| + r*m of N - 1 or
+  N, N! * C(m+N-1, N-1) at most 200,000), one whose 9 variables trip the
+  alternant guard, and one failing symbolic verify per format with the
+  expansion's first sign flipped;
 - `verify --mode modular`, plain and json, at seeds 0 and 1 on every case
   of the `queries` workload's modular space (|mu| <= 3, r <= 4, m <= 3,
   N from |mu| + r*m to 2 more, N <= 14), and one failing modular verify
@@ -44,6 +49,7 @@ import random
 import subprocess
 import sys
 from itertools import product
+from math import comb, factorial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -106,6 +112,16 @@ def requests():
         if len(mu) <= n
         for r, m in product((1, 2, 3), repeat=2)
     ]
+    symbolic = [
+        ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n), "--mode", "symbolic"]
+        for n in range(4, 8)
+        for size in (n - 1, n)
+        for r in range(1, size + 1)
+        for m in range(1, size // r + 1)
+        if factorial(n) * comb(m + n - 1, n - 1) <= 200_000
+        for mu in partitions(size - r * m)
+    ]
+    symbolic.append(["verify", "--mu", "", "--r", "3", "--m", "3", "--N", "9", "--mode", "symbolic"])
     modular = [
         ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n),
          "--mode", "modular", "--seed", str(seed)]
@@ -160,12 +176,15 @@ def requests():
     ]
     failing = [["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mode", "process"]]
     failing_modular = ["verify", "--mu", "2,1", "--r", "3", "--m", "2", "--N", "9", "--mode", "modular"]
+    failing_symbolic = ["verify", "--mu", "2,1", "--r", "2", "--m", "1", "--N", "5", "--mode", "symbolic"]
     out = []
     for fmt in ("plain", "json"):
         out += [("trace", None, argv + ["--format", fmt]) for argv in traces]
         out += [("verify", None, argv + ["--format", fmt]) for argv in verifies]
         for perturbation in ("flip-first-sign", "drop-first-term"):
             out += [("verify", perturbation, argv + ["--format", fmt]) for argv in failing]
+        out += [("verify", None, argv + ["--format", fmt]) for argv in symbolic]
+        out.append(("verify", "flip-first-sign", failing_symbolic + ["--format", fmt]))
         out += [("verify", None, argv + ["--format", fmt]) for argv in modular]
         out.append(("verify", "flip-first-sign", failing_modular + ["--format", fmt]))
     for fmt in ("plain", "json", "latex"):
@@ -225,6 +244,7 @@ def main(old_root, new_root):
         elif kind == "verify":
             key += f" {argv[argv.index('--mode') + 1]}"
             key += f" {perturbation}" * bool(perturbation)
+            key += f" exit {b[0]}" * bool(b[0])
         elif kind == "sgn":
             key += " no chain" if b[1] == "0\n" or '"chain": null' in b[1] else " chain"
         counts[key] = counts.get(key, 0) + 1
