@@ -12,8 +12,8 @@ verify_process_identity replays the bead-scanning process pair by pair.
 
 from dataclasses import dataclass
 from math import factorial
+from operator import add
 
-from .abacus import all_abaci
 from .partitions import (
     Partition,
     _add_strips,
@@ -32,10 +32,11 @@ from .polynomials import (
     shifted_beta,
     straighten_product,
 )
-from .process import _budget_weight, _composition, enumerate_pairs, epsilon
-# sgn_r, SparsePolynomial, a_beta, a_beta_eval and weight_with_budget are not
-# used here; they stay bound because the benchmark (bench/tracing.py,
-# bench/test_bench.py) reaches them by name in this module.
+from .process import _composition, enumerate_pairs, epsilon
+# all_abaci, sgn_r, SparsePolynomial, a_beta, a_beta_eval and
+# weight_with_budget are not used here; they stay bound because the benchmark
+# (bench/tracing.py, bench/test_bench.py) reaches them by name in this module.
+from .abacus import all_abaci  # noqa: F401
 from .partitions import sgn_r  # noqa: F401
 from .polynomials import SparsePolynomial, a_beta, a_beta_eval  # noqa: F401
 from .process import weight_with_budget  # noqa: F401
@@ -261,9 +262,20 @@ def verify_process_identity(
 
     Each distinct labelling is read once per call: its bead positions and
     its sign are kept by slots, for the labellings of mu (partners among
-    them) and of the support shapes, at most n_beads! * (1 + support size)
+    them) and the completed images, at most n_beads! * (1 + support size)
     of them.  A weight is the exponent tuple whose entry l-1 is the slot of
-    bead l plus r times its budget entry, so no Monomial is built.
+    bead l plus r times its budget entry; the shift r * beta is computed
+    once per call for each budget, keyed by its entries.
+
+    The support shapes are keyed by their bead positions on n_beads beads,
+    and a completed image by its positions reading sorted down, so no shape
+    is built.  An image that misses every key has its shape read: it lies
+    outside the support, or it is a support shape on another bead count,
+    which is no labelling of that shape and fails the shape's bijection.
+    So every image counted under a key is a labelling of its shape, distinct
+    from the others by the bucket check, and the shape's n_beads!
+    labellings are all hit exactly when n_beads! images are counted.  The
+    regroup tally runs over those images.
 
     Support shapes with more rows than beads cannot occur as images (a shape
     on n_beads beads has at most n_beads rows) and contribute nothing in
@@ -290,11 +302,20 @@ def verify_process_identity(
                 reading = readings[u.slots] = (u.positions(), u.sign())
             return reading
 
+        # r * beta by budget entries.
+        shifts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # (shape, chain sign, images) by the bead positions of the shape, for
+        # the support shapes, in expansion order; an image of a support shape
+        # on another bead count adds its own key and marks the shape strayed.
+        targets = {
+            bead_positions(lam, n_beads): (lam, c, set()) for lam, c in sign_of.items()
+        }
+        support = list(targets.values())
+        strayed = set()
         # Signed weights by exponent tuple: the aborted pairs, and the
         # completed pairs minus the signed abacus sums of the support shapes.
         aborted: dict[tuple[int, ...], int] = {}
         unmatched: dict[tuple[int, ...], int] = {}
-        images: dict[Partition, set] = {}
         # Aborted pairs whose partner has not come up yet, keyed by
         # (slots, budget entries), with the key of that partner.
         open_pairs: dict[tuple, tuple] = {}
@@ -305,20 +326,29 @@ def verify_process_identity(
             if w is not w_read:
                 w_read = w
                 positions, sign = read(w)
-            weight = _budget_weight(positions, beta.entries, r)
+            entries = beta.entries
+            shift = shifts.get(entries)
+            if shift is None:
+                shift = shifts[entries] = tuple([r * e for e in entries])
+            weight = tuple(map(add, positions, shift))
             if trace.successful:
                 n_completed += 1
                 unmatched[weight] = unmatched.get(weight, 0) + sign
                 image = trace.outcome.abacus
-                lam = image.shape()
-                if lam not in sign_of:
-                    return f"completed pair landed on {lam}, outside the expansion support"
                 image_positions, image_sign = read(image)
-                if image_sign != sign_of[lam] * sign:
+                image_key = tuple(sorted(image_positions, reverse=True))
+                target = targets.get(image_key)
+                if target is None:
+                    lam = image.shape()
+                    if lam not in sign_of:
+                        return f"completed pair landed on {lam}, outside the expansion support"
+                    target = targets[image_key] = (lam, sign_of[lam], set())
+                    strayed.add(lam)
+                lam, c, bucket = target
+                if image_sign != c * sign:
                     return f"sign law broken on a completed pair with shape {lam}"
                 if image_positions != weight:
                     return f"weight not conserved on a completed pair with shape {lam}"
-                bucket = images.setdefault(lam, set())
                 if image in bucket:
                     return f"two completed pairs share the image {image!r}"
                 bucket.add(image)
@@ -329,10 +359,13 @@ def verify_process_identity(
                 positions2, sign2 = read(w2)
                 if sign2 != -sign:
                     return "partner does not reverse sign"
-                beta2 = _composition(beta2, w2.n_beads)
-                if _budget_weight(positions2, beta2.entries, r) != weight:
+                entries2 = _composition(beta2, w2.n_beads).entries
+                shift2 = shifts.get(entries2)
+                if shift2 is None:
+                    shift2 = shifts[entries2] = tuple([r * e for e in entries2])
+                if tuple(map(add, positions2, shift2)) != weight:
                     return "partner changes the weight"
-                key, partner = (w.slots, beta.entries), (w2.slots, beta2.entries)
+                key, partner = (w.slots, entries), (w2.slots, entries2)
                 if partner not in open_pairs:
                     open_pairs[key] = partner
                 elif open_pairs.pop(partner) != key:
@@ -341,12 +374,11 @@ def verify_process_identity(
             return "pairing is not an involution"
         if any(aborted.values()):
             return "aborted pairs do not cancel"
-        for lam, c in sign_of.items():
-            hits = images.get(lam, set())
-            expected = set(all_abaci(lam, n_beads))
-            if hits != expected:
-                return f"completed pairs miss {len(expected - hits)} labellings of {lam}"
-            for u in expected:
+        labellings = factorial(n_beads)
+        for lam, c, hits in support:
+            if len(hits) != labellings or lam in strayed:
+                return f"completed pairs miss {labellings - len(hits)} labellings of {lam}"
+            for u in hits:
                 u_positions, u_sign = read(u)
                 unmatched[u_positions] = unmatched.get(u_positions, 0) - c * u_sign
         if any(unmatched.values()):

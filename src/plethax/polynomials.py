@@ -362,12 +362,19 @@ class EvalPoint:
         if any(not 0 <= v < self.prime for v in self.values):
             raise ValueError("coordinates must lie in [0, prime)")
 
+    @classmethod
+    def _unchecked(cls, values: tuple[int, ...]) -> "EvalPoint":
+        """Wrap a tuple of ints in [0, prime) as is."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", values)
+        return out
+
 
 def seeded_points(n_vars: int, count: int, seed: int) -> list[EvalPoint]:
     """Deterministic evaluation points: uniform coordinates from `seed`."""
     rng = random.Random(seed)
     return [
-        EvalPoint(tuple(rng.randrange(DEFAULT_PRIME) for _ in range(n_vars)))
+        EvalPoint._unchecked(tuple(rng.randrange(DEFAULT_PRIME) for _ in range(n_vars)))
         for _ in range(count)
     ]
 

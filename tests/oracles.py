@@ -9,8 +9,10 @@ N x N alternant matrix mod p, scan_by_r_move runs the bead-scanning
 process on immutable abaci, one r_move per move, partner_by_swap reads
 epsilon's partner off a collision through LabelledAbacus.position and
 .swap, supersets_by_shapes checks every shape the strip search reaches
-as a Partition, and iterated_by_shapes folds the factors of an iterated
-expansion one enumerate_supersets call per shape.
+as a Partition, iterated_by_shapes folds the factors of an iterated
+expansion one enumerate_supersets call per shape, and
+verify_process_by_regeneration checks the process replay's bijection by
+regenerating every labelling of the support shapes.
 """
 
 from itertools import combinations
@@ -31,6 +33,9 @@ from plethax import (
     partitions_of,
     strip_sign,
 )
+from plethax import expansion
+from plethax.abacus import all_abaci
+from plethax.process import _budget_weight, _composition
 
 
 def subpartitions(lam: Partition):
@@ -315,3 +320,100 @@ def iterated_by_shapes(mu: Partition, rho: Partition, nu: Partition) -> SchurExp
                     grown[tau] = grown.get(tau, 0) + c * s
             current = {lam: c for lam, c in grown.items() if c}
     return SchurExpansion(current)
+
+
+def verify_process_by_regeneration(
+    mu: Partition, r: int, m: int, n_beads: int
+) -> "expansion.ProcessIdentityReport":
+    """verify_process_identity with each weight built per pair by
+    _budget_weight, each image's shape built by LabelledAbacus.shape(), and
+    the bijection checked by comparing the images of each support shape
+    with the set of all its labellings from all_abaci.  It calls
+    pmn_expand, enumerate_pairs and epsilon through the expansion module,
+    so a test that patches them there patches both verifiers."""
+    expansion._check_factor(r, m)
+    if n_beads < 1:
+        raise ValueError(f"need at least one bead, got {n_beads}")
+    sign_of = {
+        lam: c for lam, c in expansion.pmn_expand(mu, r, m).items() if len(lam) <= n_beads
+    }
+    n_pairs = n_aborted = n_completed = 0
+
+    def first_failure():
+        nonlocal n_pairs, n_aborted, n_completed
+        readings = {}
+
+        def read(u):
+            reading = readings.get(u.slots)
+            if reading is None:
+                reading = readings[u.slots] = (u.positions(), u.sign())
+            return reading
+
+        aborted, unmatched, images, open_pairs = {}, {}, {}, {}
+        w_read = None
+        for w, beta, trace in expansion.enumerate_pairs(mu, n_beads, r, m):
+            n_pairs += 1
+            if w is not w_read:
+                w_read = w
+                positions, sign = read(w)
+            weight = _budget_weight(positions, beta.entries, r)
+            if trace.successful:
+                n_completed += 1
+                unmatched[weight] = unmatched.get(weight, 0) + sign
+                image = trace.outcome.abacus
+                lam = image.shape()
+                if lam not in sign_of:
+                    return f"completed pair landed on {lam}, outside the expansion support"
+                image_positions, image_sign = read(image)
+                if image_sign != sign_of[lam] * sign:
+                    return f"sign law broken on a completed pair with shape {lam}"
+                if image_positions != weight:
+                    return f"weight not conserved on a completed pair with shape {lam}"
+                bucket = images.setdefault(lam, set())
+                if image in bucket:
+                    return f"two completed pairs share the image {image!r}"
+                bucket.add(image)
+            else:
+                n_aborted += 1
+                aborted[weight] = aborted.get(weight, 0) + sign
+                w2, beta2 = expansion.epsilon(w, beta, r)
+                positions2, sign2 = read(w2)
+                if sign2 != -sign:
+                    return "partner does not reverse sign"
+                beta2 = _composition(beta2, w2.n_beads)
+                if _budget_weight(positions2, beta2.entries, r) != weight:
+                    return "partner changes the weight"
+                key, partner = (w.slots, beta.entries), (w2.slots, beta2.entries)
+                if partner not in open_pairs:
+                    open_pairs[key] = partner
+                elif open_pairs.pop(partner) != key:
+                    return "pairing is not an involution"
+        if open_pairs:
+            return "pairing is not an involution"
+        if any(aborted.values()):
+            return "aborted pairs do not cancel"
+        for lam, c in sign_of.items():
+            hits = images.get(lam, set())
+            expected = set(all_abaci(lam, n_beads))
+            if hits != expected:
+                return f"completed pairs miss {len(expected - hits)} labellings of {lam}"
+            for u in expected:
+                u_positions, u_sign = read(u)
+                unmatched[u_positions] = unmatched.get(u_positions, 0) - c * u_sign
+        if any(unmatched.values()):
+            return "completed pairs do not regroup into the signed shape sums"
+        return None
+
+    failure = first_failure()
+    return expansion.ProcessIdentityReport(
+        failure is None,
+        mu,
+        r,
+        m,
+        n_beads,
+        n_pairs,
+        n_aborted,
+        n_completed,
+        failure
+        or f"{n_aborted} aborted pairs cancel, {n_completed} completed pairs regroup",
+    )

@@ -9,6 +9,7 @@ from oracles import (
     iterated_by_shapes,
     naive_alternant_product,
     single_strip_rule,
+    verify_process_by_regeneration,
     young_rule,
 )
 from plethax import expansion, process
@@ -433,8 +434,12 @@ def test_verify_process_reports_image_outside_support(monkeypatch):
     )
 
 
+def _epsilon_to_itself(real):
+    return lambda w, beta, r: (w, beta)
+
+
 def test_verify_process_reports_partner_keeping_sign(monkeypatch):
-    monkeypatch.setattr(expansion, "epsilon", lambda w, beta, r: (w, beta))
+    monkeypatch.setattr(expansion, "epsilon", _epsilon_to_itself(expansion.epsilon))
     report = verify_process_identity(Partition((1,)), 2, 1, 3)
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
@@ -443,24 +448,27 @@ def test_verify_process_reports_partner_keeping_sign(monkeypatch):
 
 def _epsilon_except(pair, partner):
     """epsilon with the partner of one pair replaced."""
-    real = expansion.epsilon
 
-    def patched(w, beta, r):
-        return partner if (w, beta) == pair else real(w, beta, r)
+    def make(real):
+        def patched(w, beta, r):
+            return partner if (w, beta) == pair else real(w, beta, r)
 
-    return patched
+        return patched
+
+    return make
+
+
+# (321, (0,0,2)) and (213, (1,1,0)) share sign +1 and their weight; the
+# partner of the second, (123, (2,0,0)), is handed to the first as well.
+_PARTNER_NOT_MAPPING_BACK = (
+    (LabelledAbacus((3, 2, 1)), Composition((0, 0, 2))),
+    (LabelledAbacus((1, 2, 3)), Composition((2, 0, 0))),
+)
 
 
 def test_verify_process_reports_partner_not_mapping_back(monkeypatch):
-    # (321, (0,0,2)) and (213, (1,1,0)) share sign +1 and their weight; the
-    # partner of the second, (123, (2,0,0)), is handed to the first as well.
     monkeypatch.setattr(
-        expansion,
-        "epsilon",
-        _epsilon_except(
-            (LabelledAbacus((3, 2, 1)), Composition((0, 0, 2))),
-            (LabelledAbacus((1, 2, 3)), Composition((2, 0, 0))),
-        ),
+        expansion, "epsilon", _epsilon_except(*_PARTNER_NOT_MAPPING_BACK)(expansion.epsilon)
     )
     report = verify_process_identity(Partition(), 1, 2, 3)
     assert not report.ok
@@ -468,67 +476,68 @@ def test_verify_process_reports_partner_not_mapping_back(monkeypatch):
     assert report.detail == "pairing is not an involution"
 
 
-@pytest.mark.parametrize(
-    "pair,partner,counts",
-    [
-        # The first pair's own partner (12, (1,1)) comes up fifth and maps
-        # back to a pair that is open with another partner.
-        (
-            (LabelledAbacus((2, 1)), Composition((0, 2))),
-            (LabelledAbacus((0, 1, 2)), Composition((0, 0))),
-            (5, 3, 2),
-        ),
-        # The last pair's own partner (21, (1,1)) came up second, so both
-        # stay open after the last pair.
-        (
-            (LabelledAbacus((1, 2)), Composition((2, 0))),
-            (LabelledAbacus((0, 2, 1)), Composition((0, 0))),
-            (6, 4, 2),
-        ),
-    ],
-)
+_COMPLETED_PARTNERS = [
+    # The first pair's own partner (12, (1,1)) comes up fifth and maps back
+    # to a pair that is open with another partner.
+    (
+        (LabelledAbacus((2, 1)), Composition((0, 2))),
+        (LabelledAbacus((0, 1, 2)), Composition((0, 0))),
+        (5, 3, 2),
+    ),
+    # The last pair's own partner (21, (1,1)) came up second, so both stay
+    # open after the last pair.
+    (
+        (LabelledAbacus((1, 2)), Composition((2, 0))),
+        (LabelledAbacus((0, 2, 1)), Composition((0, 0))),
+        (6, 4, 2),
+    ),
+]
+
+
+@pytest.mark.parametrize("pair,partner,counts", _COMPLETED_PARTNERS)
 def test_verify_process_reports_completed_partner(monkeypatch, pair, partner, counts):
     """Moving a bead over the other with both its moves spent reverses the
     sign and keeps the weight, but the partner then completes, so it never
     comes up among the aborted pairs to map back."""
-    monkeypatch.setattr(expansion, "epsilon", _epsilon_except(pair, partner))
+    monkeypatch.setattr(expansion, "epsilon", _epsilon_except(pair, partner)(expansion.epsilon))
     report = verify_process_identity(Partition(), 1, 2, 2)
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == counts
     assert report.detail == "pairing is not an involution"
 
 
+def _epsilon_keeping_the_budget(real):
+    return lambda w, beta, r: (real(w, beta, r)[0], beta)
+
+
 def test_verify_process_reports_partner_changing_weight(monkeypatch):
-    real = expansion.epsilon
-    monkeypatch.setattr(
-        expansion, "epsilon", lambda w, beta, r: (real(w, beta, r)[0], beta)
-    )
+    monkeypatch.setattr(expansion, "epsilon", _epsilon_keeping_the_budget(expansion.epsilon))
     report = verify_process_identity(Partition((1,)), 2, 1, 3)
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
     assert report.detail == "partner changes the weight"
 
 
+def _partner_budget_resized(resize):
+    def make(real):
+        def resized(w, beta, r):
+            w2, beta2 = real(w, beta, r)
+            return w2, Composition(resize(beta2.entries))
+
+        return resized
+
+    return make
+
+
 @pytest.mark.parametrize("resize", [lambda e: e[:-1], lambda e: e + (0,)], ids=["short", "long"])
 def test_verify_process_rejects_a_partner_budget_of_the_wrong_length(monkeypatch, resize):
-    real = expansion.epsilon
-
-    def resized(w, beta, r):
-        w2, beta2 = real(w, beta, r)
-        return w2, Composition(resize(beta2.entries))
-
-    monkeypatch.setattr(expansion, "epsilon", resized)
+    monkeypatch.setattr(expansion, "epsilon", _partner_budget_resized(resize)(expansion.epsilon))
     n = len(resize((0, 0, 0)))
     with pytest.raises(ValueError, match=f"^budget has {n} entries for 3 beads$"):
         verify_process_identity(Partition((1,)), 2, 1, 3)
 
 
-def test_verify_process_reports_completed_pair_changing_weight(monkeypatch):
-    """Relabelling a completed image by the 3-cycle 1 -> 2 -> 3 -> 1 keeps
-    its shape and its sign, as the cycle is even, but moves every bead's
-    slot to another label."""
-    real = expansion.enumerate_pairs
-
+def _images_cycled(real):
     def cycled(mu, n_beads, r, m):
         for w, beta, trace in real(mu, n_beads, r, m):
             if trace.successful:
@@ -536,8 +545,180 @@ def test_verify_process_reports_completed_pair_changing_weight(monkeypatch):
                 trace = trace._replace(outcome=Successful(LabelledAbacus(slots)))
             yield w, beta, trace
 
-    monkeypatch.setattr(expansion, "enumerate_pairs", cycled)
+    return cycled
+
+
+def test_verify_process_reports_completed_pair_changing_weight(monkeypatch):
+    """Relabelling a completed image by the 3-cycle 1 -> 2 -> 3 -> 1 keeps
+    its shape and its sign, as the cycle is even, but moves every bead's
+    slot to another label."""
+    monkeypatch.setattr(expansion, "enumerate_pairs", _images_cycled(expansion.enumerate_pairs))
     report = verify_process_identity(Partition((1,)), 2, 1, 3)
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == (1, 0, 1)
     assert report.detail == "weight not conserved on a completed pair with shape (1,1,1)"
+
+
+def _first_completed_pair(times):
+    """enumerate_pairs with its first completed pair yielded `times` times."""
+
+    def make(real):
+        def patched(mu, n_beads, r, m):
+            first = True
+            for pair in real(mu, n_beads, r, m):
+                if first and pair[2].successful:
+                    first = False
+                    yield from [pair] * times
+                else:
+                    yield pair
+
+        return patched
+
+    return make
+
+
+def test_verify_process_reports_a_missed_labelling(monkeypatch):
+    monkeypatch.setattr(
+        expansion, "enumerate_pairs", _first_completed_pair(0)(expansion.enumerate_pairs)
+    )
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (17, 6, 11)
+    assert report.detail == "completed pairs miss 1 labellings of (1,1,1)"
+
+
+def test_verify_process_reports_a_shared_image(monkeypatch):
+    monkeypatch.setattr(
+        expansion, "enumerate_pairs", _first_completed_pair(2)(expansion.enumerate_pairs)
+    )
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 0, 2)
+    assert report.detail == "two completed pairs share the image LabelledAbacus((0, 2, 3, 1))"
+
+
+def _first_image_with_an_extra_bead(real):
+    """The first completed image with a bead n_beads + 1 put below the
+    others, one slot lower: the same shape on one bead more."""
+
+    def patched(mu, n_beads, r, m):
+        first = True
+        for w, beta, trace in real(mu, n_beads, r, m):
+            if first and trace.successful:
+                first = False
+                slots = (n_beads + 1,) + trace.outcome.abacus.slots
+                trace = trace._replace(outcome=Successful(LabelledAbacus(slots)))
+            yield w, beta, trace
+
+    return patched
+
+
+def _pairs_on_one_more_bead(with_own):
+    """enumerate_pairs run on n_beads + 1 beads, after the pairs on n_beads
+    when with_own is set: the images are the support shapes on one bead
+    more, which are no labellings of them."""
+
+    def make(real):
+        def patched(mu, n_beads, r, m):
+            if with_own:
+                yield from real(mu, n_beads, r, m)
+            yield from real(mu, n_beads + 1, r, m)
+
+        return patched
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make,counts,detail",
+    [
+        (
+            _first_image_with_an_extra_bead,
+            (1, 0, 1),
+            "weight not conserved on a completed pair with shape (1)",
+        ),
+        (_pairs_on_one_more_bead(False), (4, 2, 2), "completed pairs miss 1 labellings of (1)"),
+        (_pairs_on_one_more_bead(True), (5, 2, 3), "completed pairs miss 0 labellings of (1)"),
+    ],
+    ids=["extra-bead", "wider", "own-and-wider"],
+)
+def test_verify_process_reports_images_on_another_bead_count(monkeypatch, make, counts, detail):
+    """An image of a support shape on n_beads + 1 beads is no labelling of
+    it, even when all of its n_beads! labellings are hit as well."""
+    monkeypatch.setattr(expansion, "enumerate_pairs", make(expansion.enumerate_pairs))
+    report = verify_process_identity(Partition(), 1, 1, 1)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == counts
+    assert report.detail == detail
+
+
+def _outcome(verify, case):
+    try:
+        return verify(*case)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+_VERIFY_PROCESS_STRATA = [
+    (mu, r, m, n)
+    for n in range(1, 6)
+    for size in range(4)
+    for mu in partitions_of(size)
+    if len(mu) <= n
+    for r in (1, 2, 3)
+    for m in (1, 2, 3)
+]
+
+
+def test_verify_process_matches_regeneration_on_the_strata():
+    """The bijection checked by count gives the reports of the check by
+    regenerating every labelling, on the benchmark's verify-process cases."""
+    assert len(_VERIFY_PROCESS_STRATA) == 279
+    for case in _VERIFY_PROCESS_STRATA:
+        assert verify_process_identity(*case) == verify_process_by_regeneration(*case), case
+
+
+@pytest.mark.parametrize(
+    "attr,make,case",
+    [
+        ("pmn_expand", _flip_first_sign, (Partition((1,)), 2, 1, 3)),
+        ("pmn_expand", _drop_first_term, (Partition((1,)), 2, 1, 3)),
+        ("epsilon", _epsilon_to_itself, (Partition((1,)), 2, 1, 3)),
+        ("epsilon", _epsilon_except(*_PARTNER_NOT_MAPPING_BACK), (Partition(), 1, 2, 3)),
+        *[
+            ("epsilon", _epsilon_except(pair, partner), (Partition(), 1, 2, 2))
+            for pair, partner, _ in _COMPLETED_PARTNERS
+        ],
+        ("epsilon", _epsilon_keeping_the_budget, (Partition((1,)), 2, 1, 3)),
+        ("epsilon", _partner_budget_resized(lambda e: e[:-1]), (Partition((1,)), 2, 1, 3)),
+        ("epsilon", _partner_budget_resized(lambda e: e + (0,)), (Partition((1,)), 2, 1, 3)),
+        ("enumerate_pairs", _images_cycled, (Partition((1,)), 2, 1, 3)),
+        ("enumerate_pairs", _first_completed_pair(0), (Partition((1,)), 2, 1, 3)),
+        ("enumerate_pairs", _first_completed_pair(2), (Partition((1,)), 2, 1, 3)),
+        ("enumerate_pairs", _first_image_with_an_extra_bead, (Partition((1,)), 2, 1, 3)),
+        ("enumerate_pairs", _pairs_on_one_more_bead(False), (Partition(), 1, 2, 2)),
+        ("enumerate_pairs", _pairs_on_one_more_bead(True), (Partition(), 1, 2, 2)),
+    ],
+    ids=[
+        "flip-first-sign",
+        "drop-first-term",
+        "partner-keeping-sign",
+        "partner-not-mapping-back",
+        "completed-partner-first",
+        "completed-partner-last",
+        "partner-changing-weight",
+        "partner-budget-short",
+        "partner-budget-long",
+        "images-cycled",
+        "missed-labelling",
+        "shared-image",
+        "extra-bead",
+        "wider",
+        "own-and-wider",
+    ],
+)
+def test_verify_process_matches_regeneration_under_faults(monkeypatch, attr, make, case):
+    monkeypatch.setattr(expansion, attr, make(getattr(expansion, attr)))
+    report = _outcome(verify_process_identity, case)
+    assert report == _outcome(verify_process_by_regeneration, case)
+    assert isinstance(report, tuple) or not report.ok

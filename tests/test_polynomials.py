@@ -222,6 +222,18 @@ def test_seeded_points_are_deterministic():
     assert all(len(pt.values) == 3 for pt in a)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+def test_seeded_points_equal_checked_points(seed):
+    """seeded_points skips the constructor's checks; its points are the
+    ones the checking constructor builds from the same coordinates."""
+    for n in range(15):
+        for point in seeded_points(n, 5, seed):
+            checked = EvalPoint(point.values)
+            assert point == checked and hash(point) == hash(checked)
+            assert type(point.values) is tuple and len(point.values) == n
+            assert all(type(v) is int for v in point.values)
+
+
 @given(st.integers(2, 5), st.integers(0, 10**6), st.data())
 def test_a_beta_eval_matches_symbolic(n, seed, data):
     beta = tuple(

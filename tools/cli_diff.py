@@ -13,7 +13,8 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
   at most 3 on 3 or 4 beads with every budget of total 1 or 2 and r 1..3
   (`--canonical`);
 - `verify --mode process`, plain and json, on every case of the
-  `verify-process` workload's strata (N <= 5, |mu| <= 3, r, m <= 3);
+  `verify-process` workload's strata (N <= 5, |mu| <= 3, r, m <= 3), and
+  at N=6 on every case with |mu| <= 2 and r, m <= 2;
 - two failing process verifies in each format: the expansion with its
   first sign flipped, and with its first term dropped;
 - `verify --mode symbolic`, plain and json, on every case of the
@@ -111,6 +112,12 @@ def requests():
         for mu in partitions(size)
         if len(mu) <= n
         for r, m in product((1, 2, 3), repeat=2)
+    ]
+    verifies += [
+        ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", "6", "--mode", "process"]
+        for size in range(3)
+        for mu in partitions(size)
+        for r, m in product((1, 2), repeat=2)
     ]
     symbolic = [
         ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n), "--mode", "symbolic"]
