@@ -37,28 +37,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _tokens(text: str) -> list[str]:
+    """The comma-separated entries of text, stripped; blank text has none.
+    An empty entry, as in "3,,1", is kept so that parsing it fails."""
+    return [tok.strip() for tok in text.split(",")] if text.strip() else []
+
+
 def parse_partition(text: str) -> Partition:
-    tokens = [tok.strip() for tok in text.strip().split(",") if tok.strip()]
     try:
-        return Partition(int(tok) for tok in tokens)
+        return Partition(int(tok) for tok in _tokens(text))
     except ValueError as exc:
         raise UsageError(f"bad partition {text!r}: {exc}") from exc
 
 
 def parse_entries(text: str) -> tuple[int, ...]:
-    tokens = [tok.strip() for tok in text.strip().split(",") if tok.strip()]
     try:
-        return tuple(int(tok) for tok in tokens)
+        return tuple(int(tok) for tok in _tokens(text))
     except ValueError as exc:
         raise UsageError(f"bad integer list {text!r}") from exc
 
 
 def parse_abacus(text: str) -> LabelledAbacus:
     pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _tokens(text):
         pos, sep, label = chunk.partition(":")
         if not sep:
             raise UsageError(f"expected position:label, got {chunk!r}")

@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from operator import add, index
+from math import prod
+from operator import add, index, mul
 from typing import ClassVar
 
 DEFAULT_PRIME = 2_147_483_647  # 2**31 - 1
@@ -380,98 +381,109 @@ def seeded_points(n_vars: int, count: int, seed: int) -> list[EvalPoint]:
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
-    """Determinant of a square matrix modulo p, by elimination in place."""
+    """Determinant of a square matrix modulo p, by elimination in place.
+
+    Entries left of the pivot column are never read again, so they are
+    not cleared; the last pivot eliminates nothing and needs no inverse."""
     n = len(rows)
     det = 1
     for col in range(n):
-        pivot = next((k for k in range(col, n) if rows[k][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
         lead = rows[col][col]
+        if not lead:
+            pivot = next((k for k in range(col + 1, n) if rows[k][col]), None)
+            if pivot is None:
+                return 0
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            lead = rows[col][col]
+            det = -det
         det = det * lead % p
+        if col == n - 1:
+            break
         inv = pow(lead, -1, p)
+        rest = rows[col][col + 1:]
         for k in range(col + 1, n):
-            factor = rows[k][col] * inv % p
+            rk = rows[k]
+            factor = rk[col] * inv % p
             if factor:
-                rk = rows[k]
-                rc = rows[col]
-                for j in range(col, n):
-                    rk[j] = (rk[j] - factor * rc[j]) % p
+                rk[col + 1:] = [(a - factor * b) % p for a, b in zip(rk[col + 1:], rest)]
     return det % p
 
 
 def _alternants_at(point: EvalPoint):
-    """beta -> det(values_i ^ beta_j) modulo the point's prime, for every
-    nonnegative beta with one entry per coordinate.
+    """lam -> a_{lam+delta}(values) modulo the point's prime, for the parts
+    lam of a partition with at most one part per coordinate.
 
-    Sorting beta into decreasing order costs the sign of the sort (a
-    repeated entry gives 0) and leaves lam + delta.  Then
     a_{lam+delta} = a_delta * det(h_{lam_i-i+j}) = a_delta * det(e_{lam'_i-i+j})
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3.4-3.5), and
     the smaller of the two determinants is taken.  The Vandermonde a_delta
     and e_0..e_N are computed once per point; h_k grows by the recurrence
-    h_k = sum_i (-1)^(i-1) e_i h_(k-i) as far as the largest beta asks.
+    h_k = sum_i (-1)^(i-1) e_i h_(k-i) as far as the widest shape asks.
+    Both tables carry N zeros below index 0, and the e table N more past
+    e_N, so every row of a determinant is one slice of its table.  The
+    parts are not checked: a_beta_eval checks and sorts an exponent vector
+    into them.
     """
     p = point.prime
     values = point.values
     n = len(values)
     a_delta = 1
     for i, v in enumerate(values):
-        for u in values[i + 1:]:
-            a_delta = a_delta * (v - u) % p
+        a_delta = a_delta * prod([v - u for u in values[i + 1:]]) % p
     # e_k from the coefficients of prod (1 + v t).
     e = [1] + [0] * n
     for v in values:
-        for k in range(n, 0, -1):
-            e[k] = (e[k] + v * e[k - 1]) % p
-    signed_e = [(-1) ** (i - 1) * e[i] for i in range(n + 1)]
-    h = [1]
+        e = [(a + v * b) % p for a, b in zip(e, [0] + e)]
+    signed_e = [(-1) ** (i - 1) * e[i] for i in range(1, n + 1)]
+    # h_k at h[n + k], e_k at e[n + k].
+    h = [0] * n + [1]
+    e = [0] * n + e + [0] * n
 
-    def h_at(k):
-        return h[k] if k >= 0 else 0
-
-    def e_at(k):
-        return e[k] if 0 <= k <= n else 0
-
-    def alternant(beta) -> int:
-        beta = _integers(beta)
-        if len(beta) != n:
-            raise ValueError(f"point has {n} coordinates, need {len(beta)}")
-        if beta and min(beta) < 0:
-            raise ValueError(f"exponents must be nonnegative: {beta}")
-        order = sorted(range(n), key=beta.__getitem__, reverse=True)
-        lam = [beta[j] - (n - 1 - i) for i, j in enumerate(order)]
-        if any(a < b for a, b in zip(lam, lam[1:])):
-            return 0
-        while lam and lam[-1] == 0:
-            lam.pop()
-        width = lam[0] if lam else 0
-        if len(lam) <= width:
-            for k in range(len(h), width + len(lam)):
-                h.append(
-                    sum(signed_e[i] * h[k - i] for i in range(1, min(k, n) + 1)) % p
-                )
-            parts, entry = lam, h_at
+    def alternant(lam) -> int:
+        depth = len(lam)
+        width = lam[0] if depth else 0
+        if depth <= width:
+            for k in range(len(h) - n, width + depth):
+                h.append(sum(map(mul, signed_e, h[n + k - 1:k - 1:-1])) % p)
+            parts, table = lam, h
         else:
-            parts = [sum(1 for a in lam if a > j) for j in range(width)]
-            entry = e_at
+            # The conjugate: parts[j] counts the parts of lam above j.
+            parts = []
+            count = depth
+            for j in range(width):
+                while lam[count - 1] <= j:
+                    count -= 1
+                parts.append(count)
+            table = e
         size = len(parts)
         rows = [
-            [entry(parts[i] - i + j) for j in range(size)] for i in range(size)
+            table[n + parts[i] - i:n + parts[i] - i + size] for i in range(size)
         ]
-        return permutation_sign(order) * a_delta * _det_mod(rows, p) % p
+        return a_delta * _det_mod(rows, p) % p
 
     return alternant
 
 
 def a_beta_eval(beta, point: EvalPoint) -> int:
-    """det(values_i ^ beta_j) modulo the point's prime, as a_delta times a
-    Jacobi-Trudi determinant (see _alternants_at).  Exponents must be
-    nonnegative."""
-    return _alternants_at(point)(beta)
+    """det(values_i ^ beta_j) modulo the point's prime.  Exponents must be
+    nonnegative, one per coordinate.
+
+    Sorting beta into decreasing order costs the sign of the sort (a
+    repeated entry gives 0) and leaves lam + delta; the alternant of that
+    shape comes from _alternants_at.
+    """
+    beta = _integers(beta)
+    n = len(point.values)
+    if len(beta) != n:
+        raise ValueError(f"point has {n} coordinates, need {len(beta)}")
+    if beta and min(beta) < 0:
+        raise ValueError(f"exponents must be nonnegative: {beta}")
+    order = sorted(range(n), key=beta.__getitem__, reverse=True)
+    lam = [beta[j] - (n - 1 - i) for i, j in enumerate(order)]
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        return 0
+    while lam and lam[-1] == 0:
+        lam.pop()
+    return permutation_sign(order) * _alternants_at(point)(lam) % point.prime
 
 
 def h_eval(values, m: int) -> int:

@@ -10,7 +10,9 @@ process on immutable abaci, one r_move per move, partner_by_swap reads
 epsilon's partner off a collision through LabelledAbacus.position and
 .swap, supersets_by_shapes checks every shape the strip search reaches
 as a Partition, iterated_by_shapes folds the factors of an iterated
-expansion one enumerate_supersets call per shape, and
+expansion one enumerate_supersets call per shape,
+expand_iterated_by_single_factors folds them one public pmn_expand call
+per term in (i, j) lexicographic order, and
 verify_process_by_regeneration checks the process replay's bijection by
 regenerating every labelling of the support shapes.
 """
@@ -31,6 +33,7 @@ from plethax import (
     enumerate_supersets,
     is_border_strip,
     partitions_of,
+    pmn_expand,
     strip_sign,
 )
 from plethax import expansion
@@ -317,6 +320,23 @@ def iterated_by_shapes(mu: Partition, rho: Partition, nu: Partition) -> SchurExp
             grown = {}
             for lam, c in current.items():
                 for tau, s in enumerate_supersets(lam, r, m):
+                    grown[tau] = grown.get(tau, 0) + c * s
+            current = {lam: c for lam, c in grown.items() if c}
+    return SchurExpansion(current)
+
+
+def expand_iterated_by_single_factors(
+    mu: Partition, rho: Partition, nu: Partition
+) -> SchurExpansion:
+    """s_mu * prod (p_{rho_i} o h_{nu_j}), the factors taken in (i, j)
+    lexicographic order, each expanding every term of the last through the
+    public pmn_expand."""
+    current = {mu: 1}
+    for r in rho.parts:
+        for m in nu.parts:
+            grown = {}
+            for lam, c in current.items():
+                for tau, s in pmn_expand(lam, r, m).items():
                     grown[tau] = grown.get(tau, 0) + c * s
             current = {lam: c for lam, c in grown.items() if c}
     return SchurExpansion(current)

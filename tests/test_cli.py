@@ -296,6 +296,37 @@ def test_input_errors_print_the_library_message(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("expand", "--mu", "3,,1", "--r", "1", "--m", "1"),
+         "bad partition '3,,1': invalid literal for int() with base 10: ''"),
+        (("expand", "--mu", "2,1,", "--r", "1", "--m", "1"),
+         "bad partition '2,1,': invalid literal for int() with base 10: ''"),
+        (("expand", "--mu", "", "--rho", "2,,1", "--nu", "1"),
+         "bad partition '2,,1': invalid literal for int() with base 10: ''"),
+        (("sgn", "--outer", ",3", "--inner", "1", "--r", "1"),
+         "bad partition ',3': invalid literal for int() with base 10: ''"),
+        (("verify", "--mu", "1, ,", "--r", "1", "--m", "1", "--N", "3"),
+         "bad partition '1, ,': invalid literal for int() with base 10: ''"),
+        (("trace", "--canonical", "--mu", "1,,1", "--N", "3", "--beta", "1,0,0", "--r", "1"),
+         "bad partition '1,,1': invalid literal for int() with base 10: ''"),
+        (("trace", "--abacus", "0:1,2:2,3:3", "--beta", "1,,2", "--r", "1"),
+         "bad integer list '1,,2'"),
+        (("trace", "--abacus", "0:1,,2:2", "--beta", "1,0", "--r", "1"),
+         "expected position:label, got ''"),
+    ],
+)
+def test_empty_list_entries_are_rejected(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_blank_lists_are_empty(capsys):
+    assert run_cli(capsys, "expand", "--mu", " ", "--r", "1", "--m", "1") == (0, "s[1]\n", "")
+    code, out, _ = run_cli(capsys, "trace", "--abacus", "", "--beta", "", "--r", "1")
+    assert code == 0 and "outcome: successful" in out
+
+
 def test_trace_rejects_a_bead_labelled_zero(capsys):
     assert run_cli(
         capsys, "trace", "--abacus", "0:1,1:0,2:2", "--beta", "1,0", "--r", "1"

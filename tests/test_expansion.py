@@ -2,10 +2,11 @@ import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
+    expand_iterated_by_single_factors,
     iterated_by_shapes,
     naive_alternant_product,
     single_strip_rule,
@@ -143,6 +144,21 @@ def test_iterated_fold_matches_fold_by_shapes(mu, rho, nu):
     assert (
         pmn_expand_iterated(mu, rho, nu).items()
         == iterated_by_shapes(mu, rho, nu).items()
+    )
+
+
+@given(
+    partition_st(0, 3),
+    partition_st(1, 5).filter(lambda rho: rho.parts[0] <= 4),
+    partition_st(1, 3),
+)
+@example(Partition(), Partition((3, 2, 1)), Partition((2, 2)))
+@example(Partition((1,)), Partition((3, 1)), Partition((3, 1)))
+def test_iterated_fold_order_matches_single_factors_in_index_order(mu, rho, nu):
+    # pmn_expand_iterated takes the factors smallest r*m first, the oracle
+    # in (i, j) order.
+    assert pmn_expand_iterated(mu, rho, nu) == expand_iterated_by_single_factors(
+        mu, rho, nu
     )
 
 

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -295,6 +295,49 @@ def test_a_beta_eval_takes_the_smaller_jacobi_trudi_determinant(
     beta = shifted_beta(lam, 8)[::-1]
     assert a_beta_eval(beta, point) == eliminated_alternant_eval(beta, point)
     assert sizes == [size]
+
+
+@st.composite
+def shapes_at_point_st(draw, n_vars):
+    """(shapes, point): up to four partitions of at most N parts, each in
+    about half the cases no longer than its first part (the h side of
+    _alternants_at) and otherwise longer (the e side), and a point with
+    distinct nonzero coordinates."""
+    n = draw(n_vars)
+    shapes = []
+    for _ in range(draw(st.integers(1, 4))):
+        if n >= 2 and draw(st.booleans()):
+            depth = draw(st.integers(2, n))
+            width = draw(st.integers(1, depth - 1))
+        else:
+            depth = draw(st.integers(0, n))
+            width = draw(st.integers(depth, 2 * n + 2)) if depth else 0
+        rest = draw(st.lists(st.integers(1, max(width, 1)), min_size=max(depth - 1, 0),
+                             max_size=max(depth - 1, 0)))
+        shapes.append(((width,) + tuple(sorted(rest, reverse=True))) if depth else ())
+    values = draw(
+        st.lists(st.integers(1, 2**31 - 2), min_size=n, max_size=n, unique=True)
+    )
+    return shapes, EvalPoint(tuple(values))
+
+
+def assert_alternants_at_match_elimination(shapes, point):
+    # One alternant serves every shape, as the modular verifier uses it.
+    n = len(point.values)
+    alternant = polynomials._alternants_at(point)
+    for lam in shapes:
+        assert alternant(lam) == eliminated_alternant_eval(shifted_beta(lam, n), point)
+
+
+@given(shapes_at_point_st(st.integers(0, 14)))
+def test_alternants_at_takes_shapes(case):
+    assert_alternants_at_match_elimination(*case)
+
+
+@settings(max_examples=10)
+@given(shapes_at_point_st(st.just(24)))
+def test_alternants_at_takes_shapes_at_24_variables(case):
+    assert_alternants_at_match_elimination(*case)
 
 
 def test_a_beta_eval_rejects_bad_exponents():

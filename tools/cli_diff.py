@@ -24,14 +24,19 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
   expansion's first sign flipped;
 - `verify --mode modular`, plain and json, at seeds 0 and 1 on every case
   of the `queries` workload's modular space (|mu| <= 3, r <= 4, m <= 3,
-  N from |mu| + r*m to 2 more, N <= 14), and one failing modular verify
-  per format with the expansion's first sign flipped;
+  N from |mu| + r*m to 2 more, N <= 14), at seeds 0 and 1 on nine
+  cases past that space (|mu| + r*m from 15 to 24, mu empty, wide or tall
+  such as (1,1,1) and (1^6), each at N = |mu| + r*m, 20 and 24 where
+  those are at least |mu| + r*m), and one failing modular verify per
+  format with the expansion's first sign flipped at N=9 and at N=20;
 - `expand`, plain, json and latex: iterated on every case of the `queries`
   workload's iterated space (|mu| <= 2, 2 <= |rho| <= 5 with parts at most
   3, 1 <= |nu| <= 3, at least two factors), iterated with a rho part of 4
   or 5, which that space never sends (|mu| <= 2, rho one of (4), (5),
-  (4,1), (5,1), (4,2), (4,1,1), 1 <= |nu| <= 3), and single for |mu| <= 4,
-  r <= 4, m <= 3;
+  (4,1), (5,1), (4,2), (4,1,1), 1 <= |nu| <= 3), iterated on five
+  cases whose factors, taken smallest r*m first, run in another order
+  than (i, j) order (rho=(3,2,1) with nu=(2,2), and rho=(3,1) with
+  nu=(3,1) among them), and single for |mu| <= 4, r <= 4, m <= 3;
 - `sgn`, plain, json and latex, with each of those single expansions'
   mu as inner and r, on every outer of its support (found by the
   benchmark's own strip search, `bench/checks.py`), and on skews with no
@@ -140,6 +145,17 @@ def requests():
         if n <= 14
         for seed in (0, 1)
     ]
+    modular += [
+        ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n),
+         "--mode", "modular", "--seed", str(seed)]
+        for mu, r, m in (
+            ((), 4, 6), ((), 3, 5), ((2, 1), 3, 5), ((1, 1, 1), 4, 3), ((1, 1, 1), 2, 6),
+            ((1,) * 6, 1, 9), ((3, 3), 2, 5), ((4, 1), 5, 2), ((1, 1, 1, 1), 3, 4),
+        )
+        for n in sorted({sum(mu) + r * m, 20, 24})
+        if n >= sum(mu) + r * m
+        for seed in (0, 1)
+    ]
     iterated = [
         ["expand", "--mu", text(mu), "--rho", text(rho), "--nu", text(nu)]
         for k in range(3)
@@ -154,6 +170,13 @@ def requests():
         for mu in partitions(k)
         for rho in ((4,), (5,), (4, 1), (5, 1), (4, 2), (4, 1, 1))
         for nu in (lam for size in range(1, 4) for lam in partitions(size))
+    ]
+    iterated += [
+        ["expand", "--mu", text(mu), "--rho", text(rho), "--nu", text(nu)]
+        for mu, rho, nu in (
+            ((), (3, 2, 1), (2, 2)), ((1,), (3, 1), (3, 1)), ((), (4, 2), (2, 1)),
+            ((2, 1), (3, 1, 1), (2, 1)), ((), (2, 1), (3, 2)),
+        )
     ]
     singles = [
         (mu, r, m)
@@ -182,7 +205,10 @@ def requests():
         for outer, mu, r in outers
     ]
     failing = [["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mode", "process"]]
-    failing_modular = ["verify", "--mu", "2,1", "--r", "3", "--m", "2", "--N", "9", "--mode", "modular"]
+    failing_modular = [
+        ["verify", "--mu", "2,1", "--r", "3", "--m", str(m), "--N", str(n), "--mode", "modular"]
+        for m, n in ((2, 9), (5, 20))
+    ]
     failing_symbolic = ["verify", "--mu", "2,1", "--r", "2", "--m", "1", "--N", "5", "--mode", "symbolic"]
     out = []
     for fmt in ("plain", "json"):
@@ -193,7 +219,7 @@ def requests():
         out += [("verify", None, argv + ["--format", fmt]) for argv in symbolic]
         out.append(("verify", "flip-first-sign", failing_symbolic + ["--format", fmt]))
         out += [("verify", None, argv + ["--format", fmt]) for argv in modular]
-        out.append(("verify", "flip-first-sign", failing_modular + ["--format", fmt]))
+        out += [("verify", "flip-first-sign", argv + ["--format", fmt]) for argv in failing_modular]
     for fmt in ("plain", "json", "latex"):
         out += [("expand", None, argv + ["--format", fmt]) for argv in expands]
         out += [("sgn", None, argv + ["--format", fmt]) for argv in sgns]
@@ -250,6 +276,7 @@ def main(old_root, new_root):
                 key += " single"
         elif kind == "verify":
             key += f" {argv[argv.index('--mode') + 1]}"
+            key += " N 15-24" * (int(argv[argv.index("--N") + 1]) > 14)
             key += f" {perturbation}" * bool(perturbation)
             key += f" exit {b[0]}" * bool(b[0])
         elif kind == "sgn":
