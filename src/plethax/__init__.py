@@ -26,14 +26,11 @@ from .partitions import (
     Partition,
     SkewPartition,
     bead_positions,
-    border_strip_with_top,
     enumerate_supersets,
-    is_border_strip,
     partition_from_positions,
     partitions_of,
     r_decompose,
     sgn_r,
-    strip_sign,
 )
 from .polynomials import (
     DEFAULT_PRIME,
@@ -44,12 +41,10 @@ from .polynomials import (
     compositions,
     h_eval,
     h_poly,
-    p_poly,
     pair_budget,
     plethysm_pr,
     seeded_points,
     shifted_beta,
-    staircase,
     straighten_product,
 )
 from .process import (
@@ -90,7 +85,6 @@ __all__ = [
     "a_beta_eval",
     "all_abaci",
     "bead_positions",
-    "border_strip_with_top",
     "canonical_abacus",
     "compositions",
     "enumerate_pairs",
@@ -98,9 +92,7 @@ __all__ = [
     "epsilon",
     "h_eval",
     "h_poly",
-    "is_border_strip",
     "k_set",
-    "p_poly",
     "pair_budget",
     "partition_from_positions",
     "partitions_of",
@@ -113,9 +105,7 @@ __all__ = [
     "seeded_points",
     "sgn_r",
     "shifted_beta",
-    "staircase",
     "straighten_product",
-    "strip_sign",
     "verify_against_oracle",
     "verify_process_identity",
     "weight_with_budget",

@@ -214,12 +214,6 @@ class LabelledAbacus:
             (self.position(bead_a), self.position(bead_b)), (bead_b, bead_a)
         )
 
-    def beads_between(self, lo: int, hi: int) -> int:
-        """Beads on slots strictly between lo and hi (lo < hi); slots start at 0."""
-        if lo >= hi:
-            raise ValueError(f"need lo < hi, got {lo} >= {hi}")
-        return sum(1 for i in range(max(lo + 1, 0), min(hi, len(self.slots))) if self.slots[i])
-
     def tth_rightmost(self, t: int) -> int:
         """Label of the t-th rightmost bead, i.e. sigma()[t-1]."""
         if not 1 <= t <= self.n_beads:

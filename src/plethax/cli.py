@@ -25,7 +25,7 @@ from .polynomials import GuardError
 from .process import Composition, _partner, epsilon, run_process  # noqa: F401
 
 SCHEMA_VERSION = 1
-FORMATS = ("plain", "json", "latex")
+FORMATS = ("plain", "json")
 
 
 class UsageError(Exception):
@@ -335,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="plain")
+    def add_format(p, choices=FORMATS):
+        p.add_argument("--format", choices=choices, default="plain")
 
     p_expand = sub.add_parser("expand", help="expand s_mu * (p_r o h_m)")
     p_expand.add_argument("--mu", required=True, help='partition, e.g. "5,3,1" ("" for empty)')
@@ -344,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--m", type=int, default=None)
     p_expand.add_argument("--rho", default=None, help="iterate over p_rho factors")
     p_expand.add_argument("--nu", default=None, help="iterate over h_nu factors")
-    add_format(p_expand)
+    add_format(p_expand, FORMATS + ("latex",))
     p_expand.set_defaults(handler=_cmd_expand)
 
     p_sgn = sub.add_parser("sgn", help="strip-chain sign of outer/inner")

@@ -124,30 +124,6 @@ class SkewPartition:
     def size(self) -> int:
         return self.outer.size - self.inner.size
 
-    @property
-    def top(self) -> int:
-        """Least 1-based row where outer and inner differ; 0 if they are equal."""
-        for i in range(1, len(self.outer) + 1):
-            if self.outer.part(i) != self.inner.part(i):
-                return i
-        return 0
-
-    @property
-    def bottom(self) -> int:
-        """Greatest 1-based row where outer and inner differ; 0 if equal."""
-        for i in range(len(self.outer), 0, -1):
-            if self.outer.part(i) != self.inner.part(i):
-                return i
-        return 0
-
-    def cells(self) -> list[tuple[int, int]]:
-        """All (row, column) cells of the skew diagram, 1-based."""
-        return [
-            (i, j)
-            for i in range(1, len(self.outer) + 1)
-            for j in range(self.inner.part(i) + 1, self.outer.part(i) + 1)
-        ]
-
     def __eq__(self, other):
         return (
             isinstance(other, SkewPartition)
@@ -163,37 +139,6 @@ class SkewPartition:
 
     def __str__(self):
         return f"{self.outer}/{self.inner}"
-
-
-def strip_sign(skew: SkewPartition) -> int:
-    """(-1) ** (bottom - top), the sign a border strip contributes."""
-    return -1 if (skew.bottom - skew.top) % 2 else 1
-
-
-def is_border_strip(skew: SkewPartition, r: int) -> bool:
-    """True when the skew diagram is r edge-connected cells with no 2x2 descent.
-
-    A border strip never contains both (i, j) and (i+1, j+1); together with
-    edge-connectivity that pins the familiar ribbon shape.
-    """
-    if r < 1:
-        raise ValueError(f"strip size must be positive, got {r}")
-    cells = skew.cells()
-    if len(cells) != r:
-        return False
-    cellset = set(cells)
-    for (i, j) in cells:
-        if (i + 1, j + 1) in cellset:
-            return False
-    seen = {cells[0]}
-    frontier = [cells[0]]
-    while frontier:
-        i, j = frontier.pop()
-        for nbr in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if nbr in cellset and nbr not in seen:
-                seen.add(nbr)
-                frontier.append(nbr)
-    return len(seen) == len(cells)
 
 
 def bead_positions(lam: Partition, n_beads: int) -> tuple[int, ...]:
@@ -237,17 +182,6 @@ def _peel(pos: tuple[int, ...], idx: int, r: int) -> tuple[tuple[int, ...], int]
     if target < 0 or pos[land : land + 1] == (target,):
         return None
     return pos[:idx] + pos[idx + 1 : land] + (target,) + pos[land:], land - 1
-
-
-def border_strip_with_top(lam: Partition, r: int, t: int) -> Partition | None:
-    """Inner shape of the r-border strip of lam whose top row is t, or None:
-    there is at most one, the t-th rightmost bead moved r slots left."""
-    if r < 1:
-        raise ValueError(f"strip size must be positive, got {r}")
-    if t < 1:
-        raise ValueError(f"top row must be >= 1, got {t}")
-    peeled = _peel(bead_positions(lam, len(lam)), t - 1, r) if t <= len(lam) else None
-    return None if peeled is None else _shape_at(peeled[0])
 
 
 @dataclass(frozen=True)
@@ -329,8 +263,6 @@ def enumerate_supersets(mu: Partition, r: int, m: int) -> list[tuple[Partition, 
         raise ValueError(f"strip size must be positive, got {r}")
     if m < 0:
         raise ValueError(f"strip count must be nonnegative, got {m}")
-    if m == 0:
-        return [(mu, 1)]
     n = len(mu) + r * m
     return [
         (_shape_at(pos), sign)

@@ -116,10 +116,6 @@ def alternant_guard(n_vars: int, max_vars: int) -> None:
         )
 
 
-def _grevlex_key(exponents):
-    return (-sum(exponents), tuple(reversed(exponents)))
-
-
 class SparsePolynomial:
     """Multivariate polynomial as a map from exponent tuples to nonzero ints."""
 
@@ -167,10 +163,6 @@ class SparsePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in graded reverse-lexicographic order, largest first."""
-        return sorted(self.terms.items(), key=lambda kv: _grevlex_key(kv[0]))
-
     def scale(self, c: int):
         terms = {e: c * v for e, v in self.terms.items()} if c else {}
         return SparsePolynomial._unchecked(self.n_vars, terms)
@@ -197,9 +189,6 @@ class SparsePolynomial:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def __mul__(self, other):
         self._check_compatible(other)
         acc: dict[tuple[int, ...], int] = {}
@@ -219,22 +208,6 @@ class SparsePolynomial:
             and self.terms == other.terms
         )
 
-    def evaluate(self, point: "EvalPoint") -> int:
-        """Value at the point, reduced modulo the point's prime."""
-        if len(point.values) != self.n_vars:
-            raise ValueError(
-                f"point has {len(point.values)} coordinates, need {self.n_vars}"
-            )
-        p = point.prime
-        total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff % p
-            for v, e in zip(point.values, exps):
-                if e:
-                    term = term * pow(v, e, p) % p
-            total = (total + term) % p
-        return total
-
     def __repr__(self):
         return f"SparsePolynomial({self.n_vars}, {self.terms!r})"
 
@@ -246,18 +219,6 @@ def h_poly(m: int, n_vars: int) -> SparsePolynomial:
     return SparsePolynomial._unchecked(
         n_vars, dict.fromkeys(compositions(m, n_vars), 1)
     )
-
-
-def p_poly(r: int, n_vars: int) -> SparsePolynomial:
-    """Power sum x1^r + ... + xN^r."""
-    if r < 1:
-        raise ValueError(f"degree must be positive, got {r}")
-    terms = []
-    for i in range(n_vars):
-        exps = [0] * n_vars
-        exps[i] = r
-        terms.append((tuple(exps), 1))
-    return SparsePolynomial(n_vars, terms)
 
 
 def plethysm_pr(g: SparsePolynomial, r: int) -> SparsePolynomial:
@@ -501,11 +462,6 @@ def h_eval(values, m: int) -> int:
         for k in range(1, m + 1):
             h[k] = (h[k] + v * h[k - 1]) % prime
     return h[m]
-
-
-def staircase(n_vars: int) -> tuple[int, ...]:
-    """(n-1, n-2, ..., 1, 0)."""
-    return tuple(range(n_vars - 1, -1, -1))
 
 
 def shifted_beta(parts, n_vars: int) -> tuple[int, ...]:

@@ -20,8 +20,6 @@ from typing import NamedTuple
 from .abacus import LabelledAbacus, Monomial, all_abaci
 from .partitions import Partition, SkewPartition, r_decompose
 from .polynomials import _check_budget, _integer, compositions
-# pair_budget is not used here; it stays importable from this module.
-from .polynomials import pair_budget  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,10 +296,6 @@ def weight_with_budget(
 ) -> Monomial:
     """The invariant the process conserves: weight(w) times x^(r * beta)."""
     beta = _composition(beta, w.n_beads)
-    return Monomial.from_vector(_budget_weight(w.positions(), beta.entries, r))
-
-
-def _budget_weight(positions: tuple[int, ...], entries: tuple[int, ...], r: int):
-    """Exponent tuple of weight_with_budget from an abacus's positions() and
-    a budget of as many entries: slot of bead l plus r times its entry."""
-    return tuple([p + r * e for p, e in zip(positions, entries)])
+    return Monomial.from_vector(
+        [p + r * e for p, e in zip(w.positions(), beta.entries)]
+    )

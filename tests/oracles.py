@@ -2,8 +2,10 @@
 
 Everything here works cell by cell on Young diagrams and by exhaustive
 search over partitions, deliberately avoiding the bead-position shortcuts
-the package uses, so the two routes fail independently.  The exceptions
-are references for faster package code: naive_alternant_product
+the package uses, so the two routes fail independently; a test keeps the
+cell-level strip readers (skew_top, skew_bottom, skew_cells, strip_sign,
+is_border_strip) off the strip code they check.  The exceptions are
+references for faster package code: naive_alternant_product
 multiplies every monomial out, eliminated_alternant_eval reduces the full
 N x N alternant matrix mod p, scan_by_r_move runs the bead-scanning
 process on immutable abaci, one r_move per move, partner_by_swap reads
@@ -27,18 +29,73 @@ from plethax import (
     ProcessTrace,
     SchurExpansion,
     SkewPartition,
+    SparsePolynomial,
     Successful,
     Unsuccessful,
     a_beta,
     enumerate_supersets,
-    is_border_strip,
     partitions_of,
     pmn_expand,
-    strip_sign,
 )
 from plethax import expansion
 from plethax.abacus import all_abaci
-from plethax.process import _budget_weight, _composition
+from plethax.process import _composition
+
+
+def skew_top(skew: SkewPartition) -> int:
+    """Least 1-based row where outer and inner differ; 0 if they are equal."""
+    for i in range(1, len(skew.outer) + 1):
+        if skew.outer.part(i) != skew.inner.part(i):
+            return i
+    return 0
+
+
+def skew_bottom(skew: SkewPartition) -> int:
+    """Greatest 1-based row where outer and inner differ; 0 if equal."""
+    for i in range(len(skew.outer), 0, -1):
+        if skew.outer.part(i) != skew.inner.part(i):
+            return i
+    return 0
+
+
+def skew_cells(skew: SkewPartition) -> list[tuple[int, int]]:
+    """All (row, column) cells of the skew diagram, 1-based."""
+    return [
+        (i, j)
+        for i in range(1, len(skew.outer) + 1)
+        for j in range(skew.inner.part(i) + 1, skew.outer.part(i) + 1)
+    ]
+
+
+def strip_sign(skew: SkewPartition) -> int:
+    """(-1) ** (bottom - top), the sign a border strip contributes."""
+    return -1 if (skew_bottom(skew) - skew_top(skew)) % 2 else 1
+
+
+def is_border_strip(skew: SkewPartition, r: int) -> bool:
+    """True when the skew diagram is r edge-connected cells with no 2x2 descent.
+
+    A border strip never contains both (i, j) and (i+1, j+1); together with
+    edge-connectivity that pins the familiar ribbon shape.
+    """
+    if r < 1:
+        raise ValueError(f"strip size must be positive, got {r}")
+    cells = skew_cells(skew)
+    if len(cells) != r:
+        return False
+    cellset = set(cells)
+    for (i, j) in cells:
+        if (i + 1, j + 1) in cellset:
+            return False
+    seen = {cells[0]}
+    frontier = [cells[0]]
+    while frontier:
+        i, j = frontier.pop()
+        for nbr in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if nbr in cellset and nbr not in seen:
+                seen.add(nbr)
+                frontier.append(nbr)
+    return len(seen) == len(cells)
 
 
 def subpartitions(lam: Partition):
@@ -79,9 +136,9 @@ def count_monotone_chains(outer: Partition, inner: Partition, r: int) -> int:
         for nu in strips_below(shape, r):
             if not nu.contains(inner):
                 continue
-            strip = SkewPartition(shape, nu)
-            if strip.top >= min_top:
-                total += rec(nu, strip.top)
+            top = skew_top(SkewPartition(shape, nu))
+            if top >= min_top:
+                total += rec(nu, top)
         return total
 
     return rec(outer, 1)
@@ -100,10 +157,9 @@ def chain_sign_by_search(outer: Partition, inner: Partition, r: int) -> int:
             if not nu.contains(inner):
                 continue
             strip = SkewPartition(shape, nu)
-            if strip.top >= min_top:
-                signs.extend(
-                    strip_sign(strip) * s for s in rec(nu, strip.top)
-                )
+            top = skew_top(strip)
+            if top >= min_top:
+                signs.extend(strip_sign(strip) * s for s in rec(nu, top))
         return signs
 
     signs = rec(outer, 1)
@@ -165,6 +221,41 @@ def monomial_text(powers: dict[int, int]) -> str:
     )
 
 
+def p_poly(r: int, n_vars: int) -> SparsePolynomial:
+    """Power sum x1^r + ... + xN^r."""
+    if r < 1:
+        raise ValueError(f"degree must be positive, got {r}")
+    terms = []
+    for i in range(n_vars):
+        exps = [0] * n_vars
+        exps[i] = r
+        terms.append((tuple(exps), 1))
+    return SparsePolynomial(n_vars, terms)
+
+
+def sorted_terms(f: SparsePolynomial) -> list[tuple[tuple[int, ...], int]]:
+    """Terms of f in graded reverse-lexicographic order, largest first."""
+    return sorted(f.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0][::-1]))
+
+
+def evaluate(f: SparsePolynomial, point) -> int:
+    """Value of f at the point, reduced modulo the point's prime, one
+    monomial at a time."""
+    if len(point.values) != f.n_vars:
+        raise ValueError(
+            f"point has {len(point.values)} coordinates, need {f.n_vars}"
+        )
+    p = point.prime
+    total = 0
+    for exps, coeff in f.terms.items():
+        term = coeff % p
+        for v, e in zip(point.values, exps):
+            if e:
+                term = term * pow(v, e, p) % p
+        total = (total + term) % p
+    return total
+
+
 def naive_alternant_product(beta, f) -> dict[tuple[int, ...], int]:
     """Terms of a_beta * f with every monomial written out: the n! terms
     of the alternant times each term of f, with no guard on n."""
@@ -201,6 +292,20 @@ def eliminated_alternant_eval(beta, point) -> int:
                 for j in range(col, n):
                     rk[j] = (rk[j] - factor * rc[j]) % p
     return det % p
+
+
+def beads_between(w, lo: int, hi: int) -> int:
+    """Beads of the abacus w on slots strictly between lo and hi (lo < hi);
+    slots start at 0."""
+    if lo >= hi:
+        raise ValueError(f"need lo < hi, got {lo} >= {hi}")
+    return sum(1 for i in range(max(lo + 1, 0), min(hi, len(w.slots))) if w.slots[i])
+
+
+def budget_weight(positions, entries, r: int) -> tuple[int, ...]:
+    """Exponent tuple of weight_with_budget from an abacus's positions() and
+    a budget of as many entries: slot of bead l plus r times its entry."""
+    return tuple([p + r * e for p, e in zip(positions, entries)])
 
 
 def scan_by_r_move(w, beta, r: int, record_steps: bool = True) -> ProcessTrace:
@@ -346,7 +451,7 @@ def verify_process_by_regeneration(
     mu: Partition, r: int, m: int, n_beads: int
 ) -> "expansion.ProcessIdentityReport":
     """verify_process_identity with each weight built per pair by
-    _budget_weight, each image's shape built by LabelledAbacus.shape(), and
+    budget_weight, each image's shape built by LabelledAbacus.shape(), and
     the bijection checked by comparing the images of each support shape
     with the set of all its labellings from all_abaci.  It calls
     pmn_expand, enumerate_pairs and epsilon through the expansion module,
@@ -376,7 +481,7 @@ def verify_process_by_regeneration(
             if w is not w_read:
                 w_read = w
                 positions, sign = read(w)
-            weight = _budget_weight(positions, beta.entries, r)
+            weight = budget_weight(positions, beta.entries, r)
             if trace.successful:
                 n_completed += 1
                 unmatched[weight] = unmatched.get(weight, 0) + sign
@@ -401,7 +506,7 @@ def verify_process_by_regeneration(
                 if sign2 != -sign:
                     return "partner does not reverse sign"
                 beta2 = _composition(beta2, w2.n_beads)
-                if _budget_weight(positions2, beta2.entries, r) != weight:
+                if budget_weight(positions2, beta2.entries, r) != weight:
                     return "partner changes the weight"
                 key, partner = (w.slots, beta.entries), (w2.slots, beta2.entries)
                 if partner not in open_pairs:

@@ -272,6 +272,11 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
         ("verify", "--mu", "", "--r", "2", "--m", "2", "--N", "2"),
         ("verify", "--mu", "", "--r", "1", "--m", "1", "--N", "1", "--mode", "bad"),
         ("nonsense",),
+        # latex is an expand format only
+        ("sgn", "--outer", "4", "--inner", "", "--r", "2", "--format", "latex"),
+        ("trace", "--canonical", "--mu", "1", "--N", "2", "--beta", "1,0", "--r", "1",
+         "--format", "latex"),
+        ("verify", "--mu", "", "--r", "1", "--m", "1", "--N", "1", "--format", "latex"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):

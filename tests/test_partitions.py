@@ -1,14 +1,21 @@
+import ast
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     chain_sign_by_search,
     count_monotone_chains,
+    is_border_strip,
     is_horizontal_strip,
+    skew_bottom,
+    skew_top,
+    strip_sign,
     strips_below,
     subpartitions,
     supersets_by_shapes,
@@ -19,15 +26,13 @@ from plethax import (
     Partition,
     SkewPartition,
     bead_positions,
-    border_strip_with_top,
     enumerate_supersets,
-    is_border_strip,
     partition_from_positions,
     partitions_of,
     r_decompose,
     sgn_r,
-    strip_sign,
 )
+from plethax.partitions import _peel, _shape_at
 
 
 @st.composite
@@ -105,11 +110,11 @@ def test_skew_requires_containment():
 
 def test_top_bottom():
     big = SkewPartition(Partition((8, 6, 6, 5, 5, 1)), Partition((5, 5, 5, 5, 5, 1)))
-    assert (big.top, big.bottom) == (1, 3)
+    assert (skew_top(big), skew_bottom(big)) == (1, 3)
     hook = SkewPartition(Partition((3, 1)), Partition((1, 1)))
-    assert (hook.top, hook.bottom) == (1, 1)
+    assert (skew_top(hook), skew_bottom(hook)) == (1, 1)
     same = SkewPartition(Partition((3, 1)), Partition((3, 1)))
-    assert (same.top, same.bottom) == (0, 0)
+    assert (skew_top(same), skew_bottom(same)) == (0, 0)
 
 
 def test_is_border_strip():
@@ -145,26 +150,53 @@ def test_bead_positions_round_trip(lam, extra):
 
 
 def test_border_strip_with_top_goldens():
-    assert border_strip_with_top(Partition((8, 6, 6, 5, 5, 1)), 5, 1) == Partition(
-        (5, 5, 5, 5, 5, 1)
-    )
-    assert border_strip_with_top(Partition((2, 2)), 2, 1) == Partition((1, 1))
-    assert border_strip_with_top(Partition((2, 1, 1)), 2, 1) is None
-    assert border_strip_with_top(Partition((3,)), 2, 2) is None
+    # _peel moves the bead of row t (index t - 1) r slots left and returns
+    # the new positions with the strip's bottom row minus 1.
+    lam = Partition((8, 6, 6, 5, 5, 1))
+    pos, landing = _peel(bead_positions(lam, 6), 0, 5)
+    assert (pos, landing) == ((10, 9, 8, 7, 6, 1), 2)
+    assert _shape_at(pos) == Partition((5, 5, 5, 5, 5, 1))
+    pos, landing = _peel(bead_positions(Partition((2, 2)), 2), 0, 2)
+    assert (_shape_at(pos), landing) == (Partition((1, 1)), 1)
+    assert _peel(bead_positions(Partition((2, 1, 1)), 3), 0, 2) is None
+    # row 2 of (3) is empty: its bead would land below slot 0
+    assert _peel(bead_positions(Partition((3,)), 2), 1, 2) is None
 
 
 @pytest.mark.parametrize("size", range(1, 8))
 def test_border_strip_with_top_matches_cell_scan(size):
-    # the strip the bead shortcut finds must be the one cell-based search finds
+    # the strip the bead peel finds must be the one cell-based search finds
     for lam in partitions_of(size):
         for r in range(1, size + 1):
             by_top = {}
             for nu in strips_below(lam, r):
-                t = SkewPartition(lam, nu).top
+                t = skew_top(SkewPartition(lam, nu))
                 assert t not in by_top  # at most one strip per top row
                 by_top[t] = nu
             for t in range(1, len(lam) + 1):
-                assert border_strip_with_top(lam, r, t) == by_top.get(t)
+                peeled = _peel(bead_positions(lam, len(lam)), t - 1, r)
+                assert (None if peeled is None else _shape_at(peeled[0])) == by_top.get(t)
+
+
+def test_cell_level_oracles_call_no_strip_code():
+    """The cell-level strip readers share no code with the bead-position
+    strip code they check: no name they use, or that an oracle they call
+    uses, is one of it."""
+    checked = {"_peel", "_add_strips", "_shape_at", "bead_positions",
+               "r_decompose", "enumerate_supersets"}
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo = ["skew_top", "skew_bottom", "skew_cells", "strip_sign", "is_border_strip"]
+    used = set()
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name and name not in used:
+                used.add(name)
+                if name in defs:
+                    todo.append(name)
+    assert {"skew_cells", "skew_top"} <= used
+    assert not used & checked
 
 
 def test_r_decompose_golden_chain(chain_endpoints):
@@ -220,10 +252,9 @@ def test_r_decompose_reads_no_cell_level_reference(monkeypatch, chain_endpoints)
     def refuse(*args):
         raise RuntimeError("r_decompose read the cell-level reference")
 
-    monkeypatch.setattr(SkewPartition, "top", property(refuse))
-    monkeypatch.setattr(SkewPartition, "bottom", property(refuse))
+    # The cell-level readers live in tests/oracles.py, out of the package's
+    # reach; the one cell-level check left in the package is containment.
     monkeypatch.setattr(Partition, "contains", refuse)
-    monkeypatch.setattr(partitions, "strip_sign", refuse)
     for skew, r, chain in goldens:
         assert r_decompose(skew, r) == chain
 
@@ -236,8 +267,8 @@ def assert_strips_read_off_cells(chain, inner, outer):
         strip = SkewPartition(chain.shapes[k + 1], chain.shapes[k])
         assert strip.size == chain.r
         assert is_border_strip(strip, chain.r)
-        assert strip.top == chain.tops[k]
-        assert strip.bottom == chain.bottoms[k]
+        assert skew_top(strip) == chain.tops[k]
+        assert skew_bottom(strip) == chain.bottoms[k]
         assert strip_sign(strip) == chain.strip_signs[k]
     assert all(a >= b for a, b in zip(chain.tops, chain.tops[1:]))
 

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     eliminated_alternant_eval,
+    evaluate,
     inversion_sign,
     naive_alternant_product,
+    p_poly,
+    sorted_terms,
 )
 from plethax import (
     DEFAULT_PRIME,
@@ -24,13 +27,11 @@ from plethax import (
     compositions,
     h_eval,
     h_poly,
-    p_poly,
     partitions_of,
     plethysm_pr,
     polynomials,
     seeded_points,
     shifted_beta,
-    staircase,
 )
 from plethax.polynomials import GuardError, permutation_sign, straighten_product
 
@@ -108,7 +109,7 @@ def test_grevlex_render_order():
             (1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): 1,
         },
     )
-    order = [e for e, _ in f.sorted_terms()]
+    order = [e for e, _ in sorted_terms(f)]
     assert order == [
         (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2),
     ]
@@ -120,7 +121,7 @@ def test_ring_axioms(f, g, h):
     assert f * g == g * f
     assert (f + g) * h == f * h + g * h
     assert f - f == SparsePolynomial.zero(3)
-    assert -(-f) == f
+    assert f.scale(-1).scale(-1) == f
 
 
 def test_h_poly_golden():
@@ -172,7 +173,7 @@ def test_a_beta_vandermonde():
 
 
 def test_a_beta_antisymmetry():
-    assert a_beta((5, 2, 0)) == -a_beta((2, 5, 0))
+    assert a_beta((5, 2, 0)) == a_beta((2, 5, 0)).scale(-1)
     assert a_beta((5, 2, 0)) == a_beta((0, 5, 2))
 
 
@@ -242,7 +243,7 @@ def test_a_beta_eval_matches_symbolic(n, seed, data):
         )
     )
     point = seeded_points(n, 1, seed)[0]
-    assert a_beta_eval(beta, point) == a_beta(beta).evaluate(point)
+    assert a_beta_eval(beta, point) == evaluate(a_beta(beta), point)
 
 
 @st.composite
@@ -364,21 +365,20 @@ def test_h_eval_matches_expansion(n, m, seed, shifts):
     if m == 0:
         assert h_eval(point.values, 0) == h_eval(shifted, 0) == 1
     else:
-        expected = h_poly(m, n).evaluate(point)
+        expected = evaluate(h_poly(m, n), point)
         assert h_eval(point.values, m) == h_eval(shifted, m) == expected
 
 
 def test_staircase_and_shifted_beta():
-    assert staircase(4) == (3, 2, 1, 0)
+    assert shifted_beta((), 4) == (3, 2, 1, 0)
     assert shifted_beta((2, 1), 4) == (5, 3, 1, 0)
-    assert shifted_beta((), 3) == staircase(3)
     with pytest.raises(ValueError):
         shifted_beta((1, 1, 1), 2)
 
 
 def test_evaluate_rejects_wrong_arity():
     with pytest.raises(ValueError):
-        h_poly(2, 3).evaluate(EvalPoint((1, 2)))
+        evaluate(h_poly(2, 3), EvalPoint((1, 2)))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -437,7 +437,7 @@ def test_straighten_product_matches_naive_product(data):
         if straight.get(w, 0) != rhs.get(w, 0)
     }
     first = min(diff, key=lambda w: w[::-1])
-    assert naive_diff.sorted_terms()[0] == (first, diff[first])
+    assert sorted_terms(naive_diff)[0] == (first, diff[first])
 
 
 def test_straighten_product_golden():
@@ -452,7 +452,7 @@ def test_straighten_product_golden():
 
 
 def test_straighten_product_shares_the_alternant_guard():
-    beta = staircase(9)
+    beta = shifted_beta((), 9)
     f = h_poly(1, 9)
     with pytest.raises(GuardError) as straight:
         straighten_product(beta, f)

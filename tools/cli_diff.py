@@ -37,12 +37,13 @@ compares stdout, stderr and exit code byte for byte.  The requests are:
   cases whose factors, taken smallest r*m first, run in another order
   than (i, j) order (rho=(3,2,1) with nu=(2,2), and rho=(3,1) with
   nu=(3,1) among them), and single for |mu| <= 4, r <= 4, m <= 3;
-- `sgn`, plain, json and latex, with each of those single expansions'
-  mu as inner and r, on every outer of its support (found by the
-  benchmark's own strip search, `bench/checks.py`), and on skews with no
-  strip chain: every outer of the same size that contains mu but is
-  outside the support, and for r > 1 the outer that lengthens mu's first
-  row by r*m - 1 cells, a size that is not a multiple of r.
+- `sgn`, plain and json (`latex` is an `expand` format only), with each
+  of those single expansions' mu as inner and r, on every outer of its
+  support (found by the benchmark's own strip search, `bench/checks.py`),
+  and on skews with no strip chain: every outer of the same size that
+  contains mu but is outside the support, and for r > 1 the outer that
+  lengthens mu's first row by r*m - 1 cells, a size that is not a
+  multiple of r.
 
 Prints the number of requests per kind and every mismatch; exits 1 if any.
 """
@@ -222,6 +223,7 @@ def requests():
         out += [("verify", "flip-first-sign", argv + ["--format", fmt]) for argv in failing_modular]
     for fmt in ("plain", "json", "latex"):
         out += [("expand", None, argv + ["--format", fmt]) for argv in expands]
+    for fmt in ("plain", "json"):
         out += [("sgn", None, argv + ["--format", fmt]) for argv in sgns]
     return out
 
