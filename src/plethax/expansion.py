@@ -307,6 +307,13 @@ def verify_process_identity(
 
         # r * beta by budget entries.
         shifts: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def weight_of(positions, entries):
+            shift = shifts.get(entries)
+            if shift is None:
+                shift = shifts[entries] = tuple([r * e for e in entries])
+            return tuple(map(add, positions, shift))
+
         # (shape, chain sign, images) by the bead positions of the shape, for
         # the support shapes, in expansion order; an image of a support shape
         # on another bead count adds its own key and marks the shape strayed.
@@ -330,10 +337,7 @@ def verify_process_identity(
                 w_read = w
                 positions, sign = read(w)
             entries = beta.entries
-            shift = shifts.get(entries)
-            if shift is None:
-                shift = shifts[entries] = tuple([r * e for e in entries])
-            weight = tuple(map(add, positions, shift))
+            weight = weight_of(positions, entries)
             if trace.successful:
                 n_completed += 1
                 unmatched[weight] = unmatched.get(weight, 0) + sign
@@ -363,10 +367,7 @@ def verify_process_identity(
                 if sign2 != -sign:
                     return "partner does not reverse sign"
                 entries2 = _composition(beta2, w2.n_beads).entries
-                shift2 = shifts.get(entries2)
-                if shift2 is None:
-                    shift2 = shifts[entries2] = tuple([r * e for e in entries2])
-                if tuple(map(add, positions2, shift2)) != weight:
+                if weight_of(positions2, entries2) != weight:
                     return "partner changes the weight"
                 key, partner = (w.slots, entries), (w2.slots, entries2)
                 if partner not in open_pairs:

@@ -71,12 +71,6 @@ class Partition:
     def __hash__(self):
         return hash(self.parts)
 
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
-
     def __repr__(self):
         return f"Partition({self.parts!r})"
 

@@ -1,5 +1,7 @@
 import math
 import re
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -192,6 +194,25 @@ def test_iterated_requires_nonempty_factors():
         pmn_expand_iterated(Partition(), Partition(), Partition((1,)))
     with pytest.raises(ValueError):
         pmn_expand_iterated(Partition(), Partition((1,)), Partition())
+
+
+def z(rho):
+    """z_rho = prod_i i^(m_i) * m_i!, m_i the number of parts equal to i."""
+    return math.prod(i**k * math.factorial(k) for i, k in Counter(rho.parts).items())
+
+
+def test_iterated_fold_gives_orthogonal_characters():
+    # h_1 = p_1, so s_() * prod_i (p_{rho_i} o h_1) is p_rho, and its
+    # coefficient of s_lam is the character chi^lam(rho).  The columns of
+    # the character table are orthogonal with norms z_rho (Macdonald I.7),
+    # a reference that shares nothing with the strip search.
+    one = Partition((1,))
+    for n in range(1, 10):
+        rhos = list(partitions_of(n))
+        chi = {rho: pmn_expand_iterated(Partition(), rho, one).coeffs for rho in rhos}
+        for rho, sigma in product(rhos, repeat=2):
+            inner = sum(c * chi[sigma].get(lam, 0) for lam, c in chi[rho].items())
+            assert inner == (z(rho) if rho == sigma else 0), (rho, sigma)
 
 
 def test_verify_symbolic_passes():

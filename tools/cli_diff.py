@@ -2,48 +2,39 @@
 
     python3 tools/cli_diff.py OLD_ROOT NEW_ROOT
 
-Runs the same requests through `plethax.cli.main` of each checkout, one
-interpreter per checkout with that checkout's `src/` on the path, and
-compares stdout, stderr and exit code byte for byte.  The requests are:
+Builds one list of requests and sends it, as JSON lines on stdin, to one
+server per checkout: `python -S tools/cli_diff.py --serve` with only that
+checkout's `src/` on the path, so no installed plethax can stand in for a
+checkout that has none.  Each server runs the requests through its
+`plethax.cli.main` and prints stdout, stderr and exit code, which are
+compared byte for byte.
+
+The spaces the benchmark draws from are imported from `bench/workloads.py`
+(`process_strata()`, `symbolic_strata()`, `MODULAR_SPACE`,
+`ITERATED_SPACE`), so the gate covers whatever the benchmark covers, and a
+space that is renamed away fails the import.  The requests are:
 
 - `trace`, plain and json: 400 random abaci drawn as the `queries`
-  workload draws them (3 to 7 beads on slots 0..N+3, 1 to 4 moves, r 1..3),
-  400 wider ones that workload never draws (5 to 7 beads on slots 0..N+3,
-  0 to 6 moves, r 4 or 5), and every canonical abacus of a partition of
-  at most 3 on 3 or 4 beads with every budget of total 1 or 2 and r 1..3
-  (`--canonical`);
-- `verify --mode process`, plain and json, on every case of the
-  `verify-process` workload's strata (N <= 5, |mu| <= 3, r, m <= 3), and
-  at N=6 on every case with |mu| <= 2 and r, m <= 2;
-- two failing process verifies in each format: the expansion with its
-  first sign flipped, and with its first term dropped;
-- `verify --mode symbolic`, plain and json, on every case of the
-  `verify-symbolic` workload's strata (4 <= N <= 7, |mu| + r*m of N - 1 or
-  N, N! * C(m+N-1, N-1) at most 200,000), one whose 9 variables trip the
-  alternant guard, and one failing symbolic verify per format with the
-  expansion's first sign flipped;
-- `verify --mode modular`, plain and json, at seeds 0 and 1 on every case
-  of the `queries` workload's modular space (|mu| <= 3, r <= 4, m <= 3,
-  N from |mu| + r*m to 2 more, N <= 14), at seeds 0 and 1 on nine
-  cases past that space (|mu| + r*m from 15 to 24, mu empty, wide or tall
-  such as (1,1,1) and (1^6), each at N = |mu| + r*m, 20 and 24 where
-  those are at least |mu| + r*m), and one failing modular verify per
-  format with the expansion's first sign flipped at N=9 and at N=20;
-- `expand`, plain, json and latex: iterated on every case of the `queries`
-  workload's iterated space (|mu| <= 2, 2 <= |rho| <= 5 with parts at most
-  3, 1 <= |nu| <= 3, at least two factors), iterated with a rho part of 4
-  or 5, which that space never sends (|mu| <= 2, rho one of (4), (5),
-  (4,1), (5,1), (4,2), (4,1,1), 1 <= |nu| <= 3), iterated on five
-  cases whose factors, taken smallest r*m first, run in another order
-  than (i, j) order (rho=(3,2,1) with nu=(2,2), and rho=(3,1) with
-  nu=(3,1) among them), and single for |mu| <= 4, r <= 4, m <= 3;
-- `sgn`, plain and json (`latex` is an `expand` format only), with each
-  of those single expansions' mu as inner and r, on every outer of its
-  support (found by the benchmark's own strip search, `bench/checks.py`),
-  and on skews with no strip chain: every outer of the same size that
-  contains mu but is outside the support, and for r > 1 the outer that
-  lengthens mu's first row by r*m - 1 cells, a size that is not a
-  multiple of r.
+  workload draws them, 400 wider ones it never draws (5 to 7 beads, 0 to 6
+  moves, r 4 or 5), and every canonical abacus of a partition of at most 3
+  on 3 or 4 beads with every budget of total 1 or 2 and r 1..3;
+- `verify`, plain and json: `--mode process` on `process_strata()` and at
+  N=6 on every case with |mu| <= 2 and r, m <= 2; `--mode symbolic` on
+  `symbolic_strata()` and on one case whose 9 variables trip the alternant
+  guard; `--mode modular` at seeds 0 and 1 on `MODULAR_SPACE` and on nine
+  cases past it, with |mu| + r*m from 15 to 24; and failing verifies of
+  each mode, with the expansion's first sign flipped or (process) its first
+  term dropped;
+- `expand`, plain, json and latex: iterated on `ITERATED_SPACE`, with a
+  rho part of 4 or 5, which that space never sends, and on four more cases
+  whose factors, taken smallest r*m first, run in another order than
+  (i, j) order; single for |mu| <= 4, r <= 4, m <= 3;
+- `sgn`, plain and json, with each of those single expansions' mu as inner
+  and r, on every outer of its support (found by the benchmark's own strip
+  search, `bench/checks.py`), and on skews with no strip chain: every outer
+  of the same size that contains mu but is outside the support, and for
+  r > 1 the outer that lengthens mu's first row by r*m - 1 cells, a size
+  that is not a multiple of r.
 
 Prints the number of requests per kind and every mismatch; exits 1 if any.
 """
@@ -56,18 +47,9 @@ import random
 import subprocess
 import sys
 from itertools import product
-from math import comb, factorial
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import checks  # noqa: E402
-
-
-def partitions(k, cap=None):
-    cap = k if cap is None else cap
-    if k == 0:
-        return [()]
-    return [(p,) + rest for p in range(min(k, cap), 0, -1) for rest in partitions(k - p, p)]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def compositions(total, length):
@@ -84,6 +66,12 @@ def text(parts):
     return ",".join(str(p) for p in parts)
 
 
+def verify(mu, r, m, n, mode, *extra):
+    return [
+        "verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n), "--mode", mode, *extra
+    ]
+
+
 def random_trace(rng, beads=(3, 7), moves=(1, 4), shifts=(1, 3)):
     n = rng.randint(*beads)
     slots = rng.sample(range(n + 4), n)
@@ -97,6 +85,11 @@ def random_trace(rng, beads=(3, 7), moves=(1, 4), shifts=(1, 3)):
 
 def requests():
     """(kind, perturbation, argv) for every request, in a fixed order."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    sys.path.append(str(ROOT / "src"))
+    from checks import supersets
+    from workloads import ITERATED_SPACE, MODULAR_SPACE, partitions, process_strata, symbolic_strata
+
     rng = random.Random(0)
     traces = [random_trace(rng) for _ in range(400)]
     wide = random.Random(1)
@@ -112,43 +105,29 @@ def requests():
         for r in (1, 2, 3)
     ]
     verifies = [
-        ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n), "--mode", "process"]
-        for n in range(1, 6)
-        for size in range(4)
-        for mu in partitions(size)
-        if len(mu) <= n
-        for r, m in product((1, 2, 3), repeat=2)
+        (None, verify(*case, "process")) for cases in process_strata().values() for case in cases
     ]
     verifies += [
-        ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", "6", "--mode", "process"]
+        (None, verify(mu, r, m, 6, "process"))
         for size in range(3)
         for mu in partitions(size)
         for r, m in product((1, 2), repeat=2)
     ]
-    symbolic = [
-        ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n), "--mode", "symbolic"]
-        for n in range(4, 8)
-        for size in (n - 1, n)
-        for r in range(1, size + 1)
-        for m in range(1, size // r + 1)
-        if factorial(n) * comb(m + n - 1, n - 1) <= 200_000
-        for mu in partitions(size - r * m)
+    verifies += [
+        (p, verify((1,), 2, 1, 3, "process")) for p in ("flip-first-sign", "drop-first-term")
     ]
-    symbolic.append(["verify", "--mu", "", "--r", "3", "--m", "3", "--N", "9", "--mode", "symbolic"])
-    modular = [
-        ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n),
-         "--mode", "modular", "--seed", str(seed)]
-        for size in range(4)
-        for mu in partitions(size)
-        for r in range(1, 5)
-        for m in range(1, 4)
-        for n in range(size + r * m, size + r * m + 3)
-        if n <= 14
+    verifies += [
+        (None, verify(*case, "symbolic")) for cases in symbolic_strata().values() for case in cases
+    ]
+    verifies.append((None, verify((), 3, 3, 9, "symbolic")))
+    verifies.append(("flip-first-sign", verify((2, 1), 2, 1, 5, "symbolic")))
+    verifies += [
+        (None, verify(*case, "modular", "--seed", str(seed)))
+        for case in MODULAR_SPACE
         for seed in (0, 1)
     ]
-    modular += [
-        ["verify", "--mu", text(mu), "--r", str(r), "--m", str(m), "--N", str(n),
-         "--mode", "modular", "--seed", str(seed)]
+    verifies += [
+        (None, verify(mu, r, m, n, "modular", "--seed", str(seed)))
         for mu, r, m in (
             ((), 4, 6), ((), 3, 5), ((2, 1), 3, 5), ((1, 1, 1), 4, 3), ((1, 1, 1), 2, 6),
             ((1,) * 6, 1, 9), ((3, 3), 2, 5), ((4, 1), 5, 2), ((1, 1, 1, 1), 3, 4),
@@ -157,27 +136,19 @@ def requests():
         if n >= sum(mu) + r * m
         for seed in (0, 1)
     ]
-    iterated = [
-        ["expand", "--mu", text(mu), "--rho", text(rho), "--nu", text(nu)]
-        for k in range(3)
-        for mu in partitions(k)
-        for rho in (lam for size in range(2, 6) for lam in partitions(size, cap=3))
-        for nu in (lam for size in range(1, 4) for lam in partitions(size))
-        if len(rho) * len(nu) >= 2
+    verifies += [
+        ("flip-first-sign", verify((2, 1), 3, m, n, "modular")) for m, n in ((2, 9), (5, 20))
     ]
-    iterated += [
-        ["expand", "--mu", text(mu), "--rho", text(rho), "--nu", text(nu)]
+    iterated = ITERATED_SPACE + [
+        (mu, rho, nu)
         for k in range(3)
         for mu in partitions(k)
         for rho in ((4,), (5,), (4, 1), (5, 1), (4, 2), (4, 1, 1))
         for nu in (lam for size in range(1, 4) for lam in partitions(size))
     ]
     iterated += [
-        ["expand", "--mu", text(mu), "--rho", text(rho), "--nu", text(nu)]
-        for mu, rho, nu in (
-            ((), (3, 2, 1), (2, 2)), ((1,), (3, 1), (3, 1)), ((), (4, 2), (2, 1)),
-            ((2, 1), (3, 1, 1), (2, 1)), ((), (2, 1), (3, 2)),
-        )
+        ((), (3, 2, 1), (2, 2)), ((1,), (3, 1), (3, 1)),
+        ((2, 1), (3, 1, 1), (2, 1)), ((), (2, 1), (3, 2)),
     ]
     singles = [
         (mu, r, m)
@@ -186,12 +157,13 @@ def requests():
         for r in range(1, 5)
         for m in range(1, 4)
     ]
-    expands = iterated + [
-        ["expand", "--mu", text(mu), "--r", str(r), "--m", str(m)] for mu, r, m in singles
+    expands = [
+        ["expand", "--mu", text(mu), "--rho", text(rho), "--nu", text(nu)] for mu, rho, nu in iterated
     ]
+    expands += [["expand", "--mu", text(mu), "--r", str(r), "--m", str(m)] for mu, r, m in singles]
     outers = []
     for mu, r, m in singles:
-        support = checks.supersets(mu, r, m)
+        support = supersets(mu, r, m)
         outers += [(outer, mu, r) for outer in sorted(support, reverse=True)]
         outers += [
             (outer, mu, r)
@@ -202,25 +174,12 @@ def requests():
             first = mu[0] if mu else 0
             outers.append(((first + r * m - 1,) + mu[1:], mu, r))
     sgns = [
-        ["sgn", "--outer", text(outer), "--inner", text(mu), "--r", str(r)]
-        for outer, mu, r in outers
+        ["sgn", "--outer", text(outer), "--inner", text(mu), "--r", str(r)] for outer, mu, r in outers
     ]
-    failing = [["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mode", "process"]]
-    failing_modular = [
-        ["verify", "--mu", "2,1", "--r", "3", "--m", str(m), "--N", str(n), "--mode", "modular"]
-        for m, n in ((2, 9), (5, 20))
-    ]
-    failing_symbolic = ["verify", "--mu", "2,1", "--r", "2", "--m", "1", "--N", "5", "--mode", "symbolic"]
     out = []
     for fmt in ("plain", "json"):
         out += [("trace", None, argv + ["--format", fmt]) for argv in traces]
-        out += [("verify", None, argv + ["--format", fmt]) for argv in verifies]
-        for perturbation in ("flip-first-sign", "drop-first-term"):
-            out += [("verify", perturbation, argv + ["--format", fmt]) for argv in failing]
-        out += [("verify", None, argv + ["--format", fmt]) for argv in symbolic]
-        out.append(("verify", "flip-first-sign", failing_symbolic + ["--format", fmt]))
-        out += [("verify", None, argv + ["--format", fmt]) for argv in modular]
-        out += [("verify", "flip-first-sign", argv + ["--format", fmt]) for argv in failing_modular]
+        out += [("verify", p, argv + ["--format", fmt]) for p, argv in verifies]
     for fmt in ("plain", "json", "latex"):
         out += [("expand", None, argv + ["--format", fmt]) for argv in expands]
     for fmt in ("plain", "json"):
@@ -229,7 +188,8 @@ def requests():
 
 
 def serve():
-    """Run every request through this interpreter's plethax; print JSON lines."""
+    """Run each request read from stdin through this interpreter's plethax;
+    print one JSON line [exit code, stdout, stderr] per request."""
     from plethax import cli, expansion
 
     real = expansion.pmn_expand
@@ -242,7 +202,8 @@ def serve():
 
         return expand
 
-    for kind, perturbation, argv in requests():
+    for line in sys.stdin:
+        _, perturbation, argv = json.loads(line)
         expansion.pmn_expand = real if perturbation is None else perturbed(perturbation)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -250,17 +211,23 @@ def serve():
         print(json.dumps([code, out.getvalue(), err.getvalue()]))
 
 
-def outcomes(root):
+def outcomes(root, reqs):
+    """[exit code, stdout, stderr] of each request, run by the plethax under root."""
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
     done = subprocess.run(
-        [sys.executable, __file__, "--serve"], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", __file__, "--serve"],
+        input="".join(json.dumps(req) + "\n" for req in reqs),
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
 def main(old_root, new_root):
     reqs = requests()
-    old, new = outcomes(old_root), outcomes(new_root)
+    old, new = outcomes(old_root, reqs), outcomes(new_root, reqs)
     if len(old) != len(reqs) or len(new) != len(reqs):
         raise SystemExit(f"expected {len(reqs)} outcomes, got {len(old)} and {len(new)}")
     counts, mismatches = {}, 0
