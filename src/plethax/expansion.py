@@ -17,7 +17,8 @@ from operator import add
 from .partitions import (
     Partition,
     _add_strips,
-    _shape_at,
+    _bead_mask,
+    _mask_shape,
     bead_positions,
     enumerate_supersets,
 )
@@ -109,21 +110,21 @@ def pmn_expand_iterated(mu: Partition, rho: Partition, nu: Partition) -> SchurEx
     Factors are applied one at a time, smallest r*m first, ties broken by r
     and then m; any order gives the same expansion since the factors
     commute, and the small factors first keep the intermediate sums small.
-    The fold runs on bead positions over len(mu) + |rho|*|nu| beads, enough
+    The fold runs on bead masks over len(mu) + |rho|*|nu| beads, enough
     for every factor, and reads off shapes only for the result.
     """
     if len(rho) == 0 or len(nu) == 0:
         raise ValueError("both factor partitions must be non-empty")
     n = len(mu) + rho.size * nu.size
     factors = sorted((r * m, r, m) for r in rho.parts for m in nu.parts)
-    current = {bead_positions(mu, n): 1}
+    current = {_bead_mask(mu, n): 1}
     for _, r, m in factors:
-        grown: dict[tuple[int, ...], int] = {}
-        for pos, c in current.items():
-            for tau, s in _add_strips(pos, r, m):
+        grown: dict[int, int] = {}
+        for mask, c in current.items():
+            for tau, s in _add_strips(mask, r, m):
                 grown[tau] = grown.get(tau, 0) + c * s
-        current = {pos: c for pos, c in grown.items() if c}
-    return SchurExpansion._unchecked({_shape_at(pos): c for pos, c in current.items()})
+        current = {mask: c for mask, c in grown.items() if c}
+    return SchurExpansion._unchecked({_mask_shape(mask): c for mask, c in current.items()})
 
 
 def _check_factor(r: int, m: int):

@@ -8,6 +8,8 @@ Strip lookup works on bead positions: a partition seen through n beads is
 the strictly decreasing sequence ``part(j) + n - j``, and removing a strip
 of size r is the same as shifting one bead r slots to the left.  That makes
 the chain peeling and the superset enumeration cheap and collision-free.
+The superset enumeration holds the positions as the bits of one int, so a
+strip is two flipped bits and its sign and top row are bit counts.
 """
 
 from dataclasses import dataclass
@@ -259,45 +261,69 @@ def enumerate_supersets(mu: Partition, r: int, m: int) -> list[tuple[Partition, 
         raise ValueError(f"strip count must be nonnegative, got {m}")
     n = len(mu) + r * m
     return [
-        (_shape_at(pos), sign)
-        for pos, sign in _add_strips(bead_positions(mu, n), r, m)
+        (_mask_shape(mask), sign) for mask, sign in _add_strips(_bead_mask(mu, n), r, m)
     ]
 
 
-def _add_strips(
-    positions: tuple[int, ...], r: int, m: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """enumerate_supersets on bead positions: the positions of every shape
-    m r-strips above the one at `positions`, with the chain sign, in
-    decreasing lexicographic order (which is the shapes' order too).
+def _bead_mask(lam: Partition, n_beads: int) -> int:
+    """The bead set of lam on n_beads beads as an int: bit p is set when
+    slot p holds a bead, so the bits are bead_positions(lam, n_beads)."""
+    return sum(1 << p for p in bead_positions(lam, n_beads))
 
-    Every shape keeps the bead count len(positions), which must be at least
-    the rows of the starting shape plus r*m, so no strip runs out of beads.
 
-    Each strip moves one bead r slots right in place, the mirror of _peel:
-    the bead at index idx lands at index `land` after jumping the idx - land
-    beads between, so the strip's top row is land + 1 and its sign is
-    (-1) ** (idx - land).  A bead jumps at most r - 1 others, so no bead
-    past index max_top + r - 2 can make a strip with top at most max_top.
+def _mask_shape(mask: int) -> Partition:
+    """The shape of a bead mask.  The beads filling slots 0, 1, ... are its
+    zero rows; past them, the bead at slot p has p minus the beads below it
+    as its row."""
+    mask >>= (mask ^ (mask + 1)).bit_length() - 1
+    below = mask.bit_count()
+    parts = []
+    while mask:
+        p = mask.bit_length() - 1
+        mask ^= 1 << p
+        below -= 1
+        parts.append(p - below)
+    return Partition._unchecked(tuple(parts))
+
+
+def _add_strips(mask: int, r: int, m: int) -> list[tuple[int, int]]:
+    """enumerate_supersets on a bead mask (see _bead_mask): the mask of every
+    shape m r-strips above the one of `mask`, with the chain sign, in
+    decreasing order, which is the shapes' order too.
+
+    Every shape keeps the bead count of `mask`, which must be at least the
+    rows of the starting shape plus r*m, so no strip runs out of beads.
+
+    Each strip moves one bead r slots right, from slot p to the free slot
+    p + r, so the beads that can move are `mask & ~(mask >> r)`.  The strip's
+    top row is one more than the beads above p + r, and its sign is
+    (-1) ** (the beads on the r - 1 slots it jumps).  Going down from the
+    top bead, the beads above the landing slot only grow, so the search stops
+    at the first bead whose strip would top out below the previous strip's.
     """
-    found: list[tuple[tuple[int, ...], int]] = []
+    if m == 0:
+        return [(mask, 1)]
+    found: list[tuple[int, int]] = []
+    gap = (1 << (r - 1)) - 1  # the r - 1 slots a strip jumps, shifted to slot 0
+    move = 1 | 1 << r  # a strip's two changed slots, shifted to slot 0
 
-    def extend(pos: tuple[int, ...], left: int, max_top: int, sign: int):
-        if left == 0:
-            found.append((pos, sign))
-            return
-        for idx in range(min(len(pos), max_top + r - 1)):
-            target = pos[idx] + r
-            land = idx
-            while land and pos[land - 1] < target:
-                land -= 1
-            if land >= max_top or land and pos[land - 1] == target:
-                continue
-            newpos = pos[:land] + (target,) + pos[land:idx] + pos[idx + 1 :]
-            extend(newpos, left - 1, land + 1, -sign if (idx - land) % 2 else sign)
+    def extend(mask: int, left: int, max_top: int, sign: int):
+        movable = mask & ~(mask >> r)
+        while movable:
+            p = movable.bit_length() - 1
+            movable ^= 1 << p
+            land = (mask >> p + r).bit_count()
+            if land >= max_top:
+                break
+            child = mask ^ move << p
+            child_sign = -sign if (mask >> p + 1 & gap).bit_count() & 1 else sign
+            if left == 1:
+                found.append((child, child_sign))
+            else:
+                extend(child, left - 1, land + 1, child_sign)
 
-    extend(positions, m, len(positions), 1)
-    if len({pos for pos, _ in found}) != len(found):
+    extend(mask, m, mask.bit_count(), 1)
+    if len({child for child, _ in found}) != len(found):
         raise RuntimeError("two strip chains reached the same shape")
     found.sort(reverse=True)
     return found

@@ -32,7 +32,7 @@ from plethax import (
     r_decompose,
     sgn_r,
 )
-from plethax.partitions import _peel, _shape_at
+from plethax.partitions import _bead_mask, _mask_shape, _peel, _shape_at
 
 
 @st.composite
@@ -141,12 +141,16 @@ def test_partition_from_positions_names_bad_positions(positions, message):
         partition_from_positions(positions)
 
 
-@given(partition_st(), st.integers(1, 10))
+@given(partition_st(), st.integers(0, 10) | st.just(70))
 def test_bead_positions_round_trip(lam, extra):
     n = len(lam) + extra
     pos = bead_positions(lam, n)
     assert all(a > b for a, b in zip(pos, pos[1:]))
     assert partition_from_positions(pos) == lam
+    # the bead mask holds the same positions, also past 64 bits
+    mask = _bead_mask(lam, n)
+    assert mask == sum(1 << p for p in pos)
+    assert _mask_shape(mask) == lam
 
 
 def test_border_strip_with_top_goldens():
@@ -182,8 +186,8 @@ def test_cell_level_oracles_call_no_strip_code():
     """The cell-level strip readers share no code with the bead-position
     strip code they check: no name they use, or that an oracle they call
     uses, is one of it."""
-    checked = {"_peel", "_add_strips", "_shape_at", "bead_positions",
-               "r_decompose", "enumerate_supersets"}
+    checked = {"_peel", "_add_strips", "_shape_at", "_bead_mask", "_mask_shape",
+               "bead_positions", "r_decompose", "enumerate_supersets"}
     tree = ast.parse(Path(oracles.__file__).read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     todo = ["skew_top", "skew_bottom", "skew_cells", "strip_sign", "is_border_strip"]
@@ -356,13 +360,18 @@ def test_enumerate_supersets_matches_checked_shape_search(mu):
 )
 def test_add_strips_with_surplus_beads_matches_checked_shape_search(mu):
     # The iterated fold passes every factor len(mu) + |rho|*|nu| beads,
-    # more than the fewest that hold its shapes.
+    # more than the fewest that hold its shapes.  With a surplus of 64 the
+    # top bead sits past slot 63, so every mask is wider than 64 bits.
+    def mask(positions):
+        return sum(1 << p for p in positions)
+
     for r in range(1, 7):
         for m in range(1, 4):
-            for surplus in (1, 2, 5):
+            for surplus in (1, 2, 5, 64):
                 n = len(mu) + r * m + surplus
                 expected = [
-                    (bead_positions(lam, n), sign)
+                    (mask(bead_positions(lam, n)), sign)
                     for lam, sign in supersets_by_shapes(mu, r, m, n)
                 ]
-                assert partitions._add_strips(bead_positions(mu, n), r, m) == expected
+                start = mask(bead_positions(mu, n))
+                assert partitions._add_strips(start, r, m) == expected

@@ -29,6 +29,8 @@ space that is renamed away fails the import.  The requests are:
   rho part of 4 or 5, which that space never sends, and on four more cases
   whose factors, taken smallest r*m first, run in another order than
   (i, j) order; single for |mu| <= 4, r <= 4, m <= 3;
+- `expand`, plain and json: `WIDE_EXPANDS`, one single and two iterated
+  expands whose bead masks are wider than 64 bits;
 - `sgn`, plain and json, with each of those single expansions' mu as inner
   and r, on every outer of its support (found by the benchmark's own strip
   search, `bench/checks.py`), and on skews with no strip chain: every outer
@@ -50,6 +52,13 @@ from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# The strip search holds a shape's bead slots as the bits of one int; these
+# requests grow masks of 73 to 115 bits.
+WIDE_EXPANDS = [
+    ["expand", "--mu", "20,10", "--r", "10", "--m", "4"],
+    ["expand", "--mu", "30,1", "--rho", "7,5", "--nu", "2,1"],
+    ["expand", "--mu", "12", "--rho", "9,8", "--nu", "3"],
+]
 
 
 def compositions(total, length):
@@ -183,6 +192,7 @@ def requests():
     for fmt in ("plain", "json", "latex"):
         out += [("expand", None, argv + ["--format", fmt]) for argv in expands]
     for fmt in ("plain", "json"):
+        out += [("expand", None, argv + ["--format", fmt]) for argv in WIDE_EXPANDS]
         out += [("sgn", None, argv + ["--format", fmt]) for argv in sgns]
     return out
 
@@ -238,7 +248,9 @@ def main(old_root, new_root):
             key += " r 4-5" * (int(argv[argv.index("--r") + 1]) > 3)
             key += " aborted" if "unsuccessful" in b[1] else " completed"
         elif kind == "expand":
-            if "--rho" in argv:
+            if argv[:-2] in WIDE_EXPANDS:
+                key += " wide"
+            elif "--rho" in argv:
                 rho = [int(p) for p in argv[argv.index("--rho") + 1].split(",")]
                 key += " iterated" + " rho part 4-5" * (max(rho) > 3)
             else:
