@@ -33,14 +33,14 @@ from .polynomials import (
     shifted_beta,
     straighten_product,
 )
-from .process import _composition, enumerate_pairs, epsilon
-# all_abaci, sgn_r, SparsePolynomial, a_beta, a_beta_eval and
+from .process import _composition, _partner, enumerate_pairs
+# all_abaci, sgn_r, SparsePolynomial, a_beta, a_beta_eval, epsilon and
 # weight_with_budget are not used here; they stay bound because the benchmark
 # (bench/tracing.py, bench/test_bench.py) reaches them by name in this module.
 from .abacus import all_abaci  # noqa: F401
 from .partitions import sgn_r  # noqa: F401
 from .polynomials import SparsePolynomial, a_beta, a_beta_eval  # noqa: F401
-from .process import weight_with_budget  # noqa: F401
+from .process import epsilon, weight_with_budget  # noqa: F401
 
 
 class SchurExpansion:
@@ -258,11 +258,12 @@ def verify_process_identity(
     chain sign on every image, and their signed weights must regroup into
     the signed abacus sums of those shapes.
 
-    Each pair's process is run once by enumerate_pairs, and epsilon once
-    per aborted pair.  Every partner must itself be an enumerated aborted
-    pair, so the involution is checked by lookup: a pair whose partner is
-    still open closes it if the partner maps back, and any pair left open
-    at the end has no partner mapping back to it.
+    The run enumerate_pairs makes is the only run per pair: an aborted
+    pair's epsilon partner is read off the collision that ended that run,
+    by _partner, as epsilon itself reads it.  Every partner must itself be
+    an enumerated aborted pair, so the involution is checked by lookup: a
+    pair whose partner is still open closes it if the partner maps back,
+    and any pair left open at the end has no partner mapping back to it.
 
     Each distinct labelling is read once per call: its bead positions and
     its sign are kept by slots, for the labellings of mu (partners among
@@ -363,7 +364,7 @@ def verify_process_identity(
             else:
                 n_aborted += 1
                 aborted[weight] = aborted.get(weight, 0) + sign
-                w2, beta2 = epsilon(w, beta, r)
+                w2, beta2 = _partner(w, beta, r, trace.outcome)
                 positions2, sign2 = read(w2)
                 if sign2 != -sign:
                     return "partner does not reverse sign"

@@ -200,8 +200,9 @@ def epsilon(w: LabelledAbacus, beta, r: int):
     position with the same two beads, has opposite sign and the same
     combined weight, and epsilon applied twice gives back the input.
     Raises ValueError on pairs whose run completes.  Each call runs the
-    process once; verify_process_identity calls it once per aborted pair
-    and checks that it maps back by looking the partner's own partner up.
+    process once and reads the partner off its collision with _partner;
+    verify_process_identity and the CLI's trace read it off the run they
+    already have, without calling epsilon.
     """
     trace = run_process(w, beta, r, record_steps=False)
     if trace.successful:

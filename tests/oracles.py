@@ -453,9 +453,12 @@ def verify_process_by_regeneration(
     """verify_process_identity with each weight built per pair by
     budget_weight, each image's shape built by LabelledAbacus.shape(), and
     the bijection checked by comparing the images of each support shape
-    with the set of all its labellings from all_abaci.  It calls
-    pmn_expand, enumerate_pairs and epsilon through the expansion module,
-    so a test that patches them there patches both verifiers."""
+    with the set of all its labellings from all_abaci, and each partner
+    found by running the pair again in epsilon.  It calls pmn_expand,
+    enumerate_pairs and epsilon through the expansion module, so a test
+    that patches the first two there patches both verifiers; the verifier
+    reads partners through expansion._partner, so a fault in the partner
+    map is patched into both of those names."""
     expansion._check_factor(r, m)
     if n_beads < 1:
         raise ValueError(f"need at least one bead, got {n_beads}")

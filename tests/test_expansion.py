@@ -304,21 +304,29 @@ def test_verify_process_reads_each_labelling_once(monkeypatch):
 
 
 def test_verify_process_runs_each_pair_once(monkeypatch):
-    """One sweep run per pair and one epsilon run per aborted pair, with no
-    run repeated, and none remembered within a call or across calls."""
-    runs = []
-    run = process.run_process
+    """One run per pair, the sweep's own: no pair run twice, no epsilon
+    call, and nothing remembered within a call or across calls."""
+    runs, epsilon_calls = [], []
+    run, epsilon = process.run_process, process.epsilon
 
     def counting(*args, **kwargs):
         runs.append(args)
         return run(*args, **kwargs)
 
+    def counting_epsilon(*args):
+        epsilon_calls.append(args)
+        return epsilon(*args)
+
     monkeypatch.setattr(process, "run_process", counting)
+    for owner in (process, expansion):
+        monkeypatch.setattr(owner, "epsilon", counting_epsilon)
     for _ in range(2):
         runs.clear()
         report = verify_process_identity(Partition((1,)), 2, 2, 5)
         assert report.ok and (report.n_pairs, report.n_aborted) == (1800, 1440)
-        assert len(runs) == report.n_pairs + report.n_aborted == 3240
+        assert len(runs) == report.n_pairs == 1800
+        assert len({(w.slots, beta.entries) for w, beta, _ in runs}) == 1800
+    assert epsilon_calls == []
 
 
 def test_verify_modular_reaches_24_variables():
@@ -472,28 +480,52 @@ def test_verify_process_reports_image_outside_support(monkeypatch):
     )
 
 
-def _epsilon_to_itself(real):
-    return lambda w, beta, r: (w, beta)
+def _patched(attr, make):
+    """A fault that replaces expansion.<attr> by make(the real one)."""
+
+    def inject(monkeypatch):
+        monkeypatch.setattr(expansion, attr, make(getattr(expansion, attr)))
+
+    return inject
+
+
+def _partner_fault(fault):
+    """A fault on epsilon's partners: fault(w, beta, partner) is handed back
+    in place of the true partner of (w, beta).  It is applied at both seams
+    of the partner map, expansion._partner(w, beta, r, outcome), which
+    verify_process_identity calls on the run enumerate_pairs made, and
+    expansion.epsilon(w, beta, r), which the regenerating reference calls,
+    so both verifiers see the same partners."""
+
+    def inject(monkeypatch):
+        partner, epsilon = expansion._partner, expansion.epsilon
+        monkeypatch.setattr(
+            expansion,
+            "_partner",
+            lambda w, beta, r, outcome: fault(w, beta, partner(w, beta, r, outcome)),
+        )
+        monkeypatch.setattr(
+            expansion, "epsilon", lambda w, beta, r: fault(w, beta, epsilon(w, beta, r))
+        )
+
+    return inject
+
+
+def _partner_to_itself(w, beta, partner):
+    return w, beta
 
 
 def test_verify_process_reports_partner_keeping_sign(monkeypatch):
-    monkeypatch.setattr(expansion, "epsilon", _epsilon_to_itself(expansion.epsilon))
+    _partner_fault(_partner_to_itself)(monkeypatch)
     report = verify_process_identity(Partition((1,)), 2, 1, 3)
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
     assert report.detail == "partner does not reverse sign"
 
 
-def _epsilon_except(pair, partner):
-    """epsilon with the partner of one pair replaced."""
-
-    def make(real):
-        def patched(w, beta, r):
-            return partner if (w, beta) == pair else real(w, beta, r)
-
-        return patched
-
-    return make
+def _partner_except(pair, replacement):
+    """The partner of one pair replaced."""
+    return lambda w, beta, partner: replacement if (w, beta) == pair else partner
 
 
 # (321, (0,0,2)) and (213, (1,1,0)) share sign +1 and their weight; the
@@ -505,9 +537,7 @@ _PARTNER_NOT_MAPPING_BACK = (
 
 
 def test_verify_process_reports_partner_not_mapping_back(monkeypatch):
-    monkeypatch.setattr(
-        expansion, "epsilon", _epsilon_except(*_PARTNER_NOT_MAPPING_BACK)(expansion.epsilon)
-    )
+    _partner_fault(_partner_except(*_PARTNER_NOT_MAPPING_BACK))(monkeypatch)
     report = verify_process_identity(Partition(), 1, 2, 3)
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == (8, 7, 1)
@@ -537,19 +567,19 @@ def test_verify_process_reports_completed_partner(monkeypatch, pair, partner, co
     """Moving a bead over the other with both its moves spent reverses the
     sign and keeps the weight, but the partner then completes, so it never
     comes up among the aborted pairs to map back."""
-    monkeypatch.setattr(expansion, "epsilon", _epsilon_except(pair, partner)(expansion.epsilon))
+    _partner_fault(_partner_except(pair, partner))(monkeypatch)
     report = verify_process_identity(Partition(), 1, 2, 2)
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == counts
     assert report.detail == "pairing is not an involution"
 
 
-def _epsilon_keeping_the_budget(real):
-    return lambda w, beta, r: (real(w, beta, r)[0], beta)
+def _partner_keeping_the_budget(w, beta, partner):
+    return partner[0], beta
 
 
 def test_verify_process_reports_partner_changing_weight(monkeypatch):
-    monkeypatch.setattr(expansion, "epsilon", _epsilon_keeping_the_budget(expansion.epsilon))
+    _partner_fault(_partner_keeping_the_budget)(monkeypatch)
     report = verify_process_identity(Partition((1,)), 2, 1, 3)
     assert not report.ok
     assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
@@ -557,19 +587,12 @@ def test_verify_process_reports_partner_changing_weight(monkeypatch):
 
 
 def _partner_budget_resized(resize):
-    def make(real):
-        def resized(w, beta, r):
-            w2, beta2 = real(w, beta, r)
-            return w2, Composition(resize(beta2.entries))
-
-        return resized
-
-    return make
+    return lambda w, beta, partner: (partner[0], Composition(resize(partner[1].entries)))
 
 
 @pytest.mark.parametrize("resize", [lambda e: e[:-1], lambda e: e + (0,)], ids=["short", "long"])
 def test_verify_process_rejects_a_partner_budget_of_the_wrong_length(monkeypatch, resize):
-    monkeypatch.setattr(expansion, "epsilon", _partner_budget_resized(resize)(expansion.epsilon))
+    _partner_fault(_partner_budget_resized(resize))(monkeypatch)
     n = len(resize((0, 0, 0)))
     with pytest.raises(ValueError, match=f"^budget has {n} entries for 3 beads$"):
         verify_process_identity(Partition((1,)), 2, 1, 3)
@@ -708,34 +731,49 @@ _VERIFY_PROCESS_STRATA = [
 ]
 
 
-def test_verify_process_matches_regeneration_on_the_strata():
+def test_verify_process_matches_regeneration_on_the_strata(monkeypatch):
     """The bijection checked by count gives the reports of the check by
-    regenerating every labelling, on the benchmark's verify-process cases."""
+    regenerating every labelling, on the benchmark's verify-process cases,
+    and each partner read off an aborted pair's own run is the one epsilon
+    finds by running the pair again."""
+    partner = expansion._partner
+    agreed = []
+
+    def checked(w, beta, r, outcome):
+        read_off = partner(w, beta, r, outcome)
+        agreed.append(read_off == process.epsilon(w, beta, r))
+        return read_off
+
+    monkeypatch.setattr(expansion, "_partner", checked)
     assert len(_VERIFY_PROCESS_STRATA) == 279
+    n_aborted = 0
     for case in _VERIFY_PROCESS_STRATA:
-        assert verify_process_identity(*case) == verify_process_by_regeneration(*case), case
+        report = verify_process_identity(*case)
+        assert report == verify_process_by_regeneration(*case), case
+        n_aborted += report.n_aborted
+    assert len(agreed) == n_aborted > 0 and all(agreed)
 
 
 @pytest.mark.parametrize(
-    "attr,make,case",
+    "inject,case",
     [
-        ("pmn_expand", _flip_first_sign, (Partition((1,)), 2, 1, 3)),
-        ("pmn_expand", _drop_first_term, (Partition((1,)), 2, 1, 3)),
-        ("epsilon", _epsilon_to_itself, (Partition((1,)), 2, 1, 3)),
-        ("epsilon", _epsilon_except(*_PARTNER_NOT_MAPPING_BACK), (Partition(), 1, 2, 3)),
+        (_patched("pmn_expand", _flip_first_sign), (Partition((1,)), 2, 1, 3)),
+        (_patched("pmn_expand", _drop_first_term), (Partition((1,)), 2, 1, 3)),
+        (_partner_fault(_partner_to_itself), (Partition((1,)), 2, 1, 3)),
+        (_partner_fault(_partner_except(*_PARTNER_NOT_MAPPING_BACK)), (Partition(), 1, 2, 3)),
         *[
-            ("epsilon", _epsilon_except(pair, partner), (Partition(), 1, 2, 2))
+            (_partner_fault(_partner_except(pair, partner)), (Partition(), 1, 2, 2))
             for pair, partner, _ in _COMPLETED_PARTNERS
         ],
-        ("epsilon", _epsilon_keeping_the_budget, (Partition((1,)), 2, 1, 3)),
-        ("epsilon", _partner_budget_resized(lambda e: e[:-1]), (Partition((1,)), 2, 1, 3)),
-        ("epsilon", _partner_budget_resized(lambda e: e + (0,)), (Partition((1,)), 2, 1, 3)),
-        ("enumerate_pairs", _images_cycled, (Partition((1,)), 2, 1, 3)),
-        ("enumerate_pairs", _first_completed_pair(0), (Partition((1,)), 2, 1, 3)),
-        ("enumerate_pairs", _first_completed_pair(2), (Partition((1,)), 2, 1, 3)),
-        ("enumerate_pairs", _first_image_with_an_extra_bead, (Partition((1,)), 2, 1, 3)),
-        ("enumerate_pairs", _pairs_on_one_more_bead(False), (Partition(), 1, 2, 2)),
-        ("enumerate_pairs", _pairs_on_one_more_bead(True), (Partition(), 1, 2, 2)),
+        (_partner_fault(_partner_keeping_the_budget), (Partition((1,)), 2, 1, 3)),
+        (_partner_fault(_partner_budget_resized(lambda e: e[:-1])), (Partition((1,)), 2, 1, 3)),
+        (_partner_fault(_partner_budget_resized(lambda e: e + (0,))), (Partition((1,)), 2, 1, 3)),
+        (_patched("enumerate_pairs", _images_cycled), (Partition((1,)), 2, 1, 3)),
+        (_patched("enumerate_pairs", _first_completed_pair(0)), (Partition((1,)), 2, 1, 3)),
+        (_patched("enumerate_pairs", _first_completed_pair(2)), (Partition((1,)), 2, 1, 3)),
+        (_patched("enumerate_pairs", _first_image_with_an_extra_bead), (Partition((1,)), 2, 1, 3)),
+        (_patched("enumerate_pairs", _pairs_on_one_more_bead(False)), (Partition(), 1, 2, 2)),
+        (_patched("enumerate_pairs", _pairs_on_one_more_bead(True)), (Partition(), 1, 2, 2)),
     ],
     ids=[
         "flip-first-sign",
@@ -755,8 +793,8 @@ def test_verify_process_matches_regeneration_on_the_strata():
         "own-and-wider",
     ],
 )
-def test_verify_process_matches_regeneration_under_faults(monkeypatch, attr, make, case):
-    monkeypatch.setattr(expansion, attr, make(getattr(expansion, attr)))
+def test_verify_process_matches_regeneration_under_faults(monkeypatch, inject, case):
+    inject(monkeypatch)
     report = _outcome(verify_process_identity, case)
     assert report == _outcome(verify_process_by_regeneration, case)
     assert isinstance(report, tuple) or not report.ok

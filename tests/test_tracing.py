@@ -68,7 +68,7 @@ def test_tracer_wraps_each_verify_route_and_comes_off():
         "polynomials.seeded_points",
         "polynomials.h_eval",
         "process.enumerate_pairs",
-        "process.epsilon",
+        "process.run_process",
         "abacus.all_abaci",
     ):
         assert calls[name] > 0, name
