@@ -160,11 +160,11 @@ class LabelledAbacus:
 
     def sigma(self) -> tuple[int, ...]:
         """One-line permutation: entry t is the label of the t-th rightmost bead."""
-        return tuple(x for x in reversed(self.slots) if x)
+        return tuple(filter(None, reversed(self.slots)))
 
     def sign(self) -> int:
         """Sign of sigma()."""
-        return permutation_sign([label - 1 for label in self.sigma()])
+        return permutation_sign([label - 1 for label in reversed(self.slots) if label])
 
     def shape(self) -> Partition:
         return _shape_at(self.support())

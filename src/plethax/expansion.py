@@ -12,7 +12,7 @@ verify_process_identity replays the bead-scanning process pair by pair.
 
 from dataclasses import dataclass
 from math import factorial
-from operator import add
+from operator import mul
 
 from .partitions import (
     Partition,
@@ -33,7 +33,7 @@ from .polynomials import (
     shifted_beta,
     straighten_product,
 )
-from .process import _composition, _partner, enumerate_pairs
+from .process import Composition, Successful, _composition, _partner, enumerate_pairs
 # all_abaci, sgn_r, SparsePolynomial, a_beta, a_beta_eval, epsilon and
 # weight_with_budget are not used here; they stay bound because the benchmark
 # (bench/tracing.py, bench/test_bench.py) reaches them by name in this module.
@@ -265,12 +265,25 @@ def verify_process_identity(
     pair whose partner is still open closes it if the partner maps back,
     and any pair left open at the end has no partner mapping back to it.
 
-    Each distinct labelling is read once per call: its bead positions and
-    its sign are kept by slots, for the labellings of mu (partners among
-    them) and the completed images, at most n_beads! * (1 + support size)
-    of them.  A weight is the exponent tuple whose entry l-1 is the slot of
-    bead l plus r times its budget entry; the shift r * beta is computed
-    once per call for each budget, keyed by its entries.
+    Each distinct labelling is read once per call: its weight key, its
+    largest position, its sign and its positions sorted down are kept by
+    slots, for the labellings of mu (partners among them) and the completed
+    images, at most n_beads! * (1 + support size) of them.  Each budget is
+    read once per call too, keyed by its entries.
+
+    A weight, the exponent tuple whose entry l-1 is the slot of bead l plus
+    r times its budget entry, is packed into one int whose base-b digit l-1
+    is that entry, with b = mu_1 + n_beads + r*m: every labelling of mu and
+    every completed run has its n_beads slots below b, and so has every
+    entry of a legitimate weight.  A tuple of another length or with an
+    entry outside 0..b-1 stays a tuple, which no int equals, so two weights
+    are equal exactly when their tuples are.  The weight of (u, beta) is
+    read as code(u) + code(r * beta) only when the largest slot of u plus r
+    times the largest entry of beta is below b, so that no digit carries;
+    otherwise its tuple is built, and packed when it fits.  The involution
+    is keyed the same way, by code(u) + b**n_beads * code(r * beta), which
+    tells distinct (slots, entries) apart where no digit carries, and by
+    the tuple (slots, entries) elsewhere.
 
     The support shapes are keyed by their bead positions on n_beads beads,
     and a completed image by its positions reading sorted down, so no shape
@@ -294,58 +307,93 @@ def verify_process_identity(
         lam: c for lam, c in expansion.items() if len(lam) <= n_beads
     }
 
-    n_pairs = n_aborted = n_completed = 0
+    n_aborted = n_completed = 0
 
     def first_failure():
-        nonlocal n_pairs, n_aborted, n_completed
-        # (positions, sign) by slots, for every labelling read so far.
-        readings: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        nonlocal n_aborted, n_completed
+        base = mu.part(1) + n_beads + r * m
+        places = [base**l for l in range(n_beads)]
+        high = base**n_beads  # the place of r * beta in an involution key
+
+        def pack(exponents):
+            """The int with digit l-1 exponents[l-1], or the tuple itself
+            when it does not fit in n_beads digits."""
+            if len(exponents) == n_beads and 0 <= min(exponents) and max(exponents) < base:
+                return sum(map(mul, exponents, places))
+            return exponents
+
+        # (weight key, largest position or base, sign, positions sorted
+        # down) by slots, for every labelling read so far.  A labelling
+        # whose positions do not pack has base as its largest position, so
+        # its weights are always built as tuples.
+        readings: dict[tuple[int, ...], tuple] = {}
 
         def read(u):
-            reading = readings.get(u.slots)
-            if reading is None:
-                reading = readings[u.slots] = (u.positions(), u.sign())
+            positions = u.positions()
+            code = pack(positions)
+            top = base if isinstance(code, tuple) else max(positions)
+            reading = readings[u.slots] = (
+                code, top, u.sign(), tuple(sorted(positions, reverse=True))
+            )
             return reading
 
-        # r * beta by budget entries.
-        shifts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # (code of r * beta, that code moved to the key's upper digits, r
+        # times the largest entry, or 0, 0, base when r * beta does not
+        # pack) by budget entries.
+        budgets: dict[tuple[int, ...], tuple] = {}
 
-        def weight_of(positions, entries):
-            shift = shifts.get(entries)
-            if shift is None:
-                shift = shifts[entries] = tuple([r * e for e in entries])
-            return tuple(map(add, positions, shift))
+        def budget(entries):
+            shift = pack(tuple([r * e for e in entries]))
+            if isinstance(shift, tuple):
+                row = budgets[entries] = (0, 0, base)
+            else:
+                row = budgets[entries] = (shift, shift * high, r * max(entries))
+            return row
 
-        # (shape, chain sign, images) by the bead positions of the shape, for
-        # the support shapes, in expansion order; an image of a support shape
-        # on another bead count adds its own key and marks the shape strayed.
+        def unpacked(u, entries):
+            """Weight key and involution key of (u, entries) when a digit
+            of their packed sum could carry."""
+            weight = pack(tuple([p + r * e for p, e in zip(u.positions(), entries)]))
+            return weight, (u.slots, entries)
+
+        # (shape, chain sign, image slots) by the bead positions of the
+        # shape, for the support shapes, in expansion order; an image of a
+        # support shape on another bead count adds its own key and marks
+        # the shape strayed.
         targets = {
             bead_positions(lam, n_beads): (lam, c, set()) for lam, c in sign_of.items()
         }
         support = list(targets.values())
         strayed = set()
-        # Signed weights by exponent tuple: the aborted pairs, and the
-        # completed pairs minus the signed abacus sums of the support shapes.
-        aborted: dict[tuple[int, ...], int] = {}
-        unmatched: dict[tuple[int, ...], int] = {}
-        # Aborted pairs whose partner has not come up yet, keyed by
-        # (slots, budget entries), with the key of that partner.
-        open_pairs: dict[tuple, tuple] = {}
+        # Signed weights by weight key: the aborted pairs, and the completed
+        # pairs minus the signed abacus sums of the support shapes.
+        aborted: dict[int | tuple, int] = {}
+        unmatched: dict[int | tuple, int] = {}
+        # Aborted pairs whose partner has not come up yet, by involution
+        # key, with the key of that partner.
+        open_pairs: dict[int | tuple, int | tuple] = {}
         w_read = None
+        # Each pair is counted as aborted or completed before it is checked.
         for w, beta, trace in enumerate_pairs(mu, n_beads, r, m):
-            n_pairs += 1
             # enumerate_pairs yields each labelling for all budgets in a row.
             if w is not w_read:
                 w_read = w
-                positions, sign = read(w)
+                code, top, sign, _ = readings.get(w.slots) or read(w)
             entries = beta.entries
-            weight = weight_of(positions, entries)
-            if trace.successful:
+            shift, shift_key, reach = budgets.get(entries) or budget(entries)
+            if top + reach < base:
+                weight, key = code + shift, code + shift_key
+            else:
+                weight, key = unpacked(w, entries)
+            outcome = trace.outcome
+            if isinstance(outcome, Successful):
                 n_completed += 1
                 unmatched[weight] = unmatched.get(weight, 0) + sign
-                image = trace.outcome.abacus
-                image_positions, image_sign = read(image)
-                image_key = tuple(sorted(image_positions, reverse=True))
+                image = outcome.abacus
+                image_slots = image.slots
+                image_code, _, image_sign, image_key = (
+                    readings.get(image_slots) or read(image)
+                )
                 target = targets.get(image_key)
                 if target is None:
                     lam = image.shape()
@@ -356,22 +404,28 @@ def verify_process_identity(
                 lam, c, bucket = target
                 if image_sign != c * sign:
                     return f"sign law broken on a completed pair with shape {lam}"
-                if image_positions != weight:
+                if image_code != weight:
                     return f"weight not conserved on a completed pair with shape {lam}"
-                if image in bucket:
+                if image_slots in bucket:
                     return f"two completed pairs share the image {image!r}"
-                bucket.add(image)
+                bucket.add(image_slots)
             else:
                 n_aborted += 1
                 aborted[weight] = aborted.get(weight, 0) + sign
-                w2, beta2 = _partner(w, beta, r, trace.outcome)
-                positions2, sign2 = read(w2)
+                w2, beta2 = _partner(w, beta, r, outcome)
+                code2, top2, sign2, _ = readings.get(w2.slots) or read(w2)
                 if sign2 != -sign:
                     return "partner does not reverse sign"
-                entries2 = _composition(beta2, w2.n_beads).entries
-                if weight_of(positions2, entries2) != weight:
+                if beta2.__class__ is not Composition or len(beta2.entries) != w2.n_beads:
+                    beta2 = _composition(beta2, w2.n_beads)
+                entries2 = beta2.entries
+                shift2, shift_key2, reach2 = budgets.get(entries2) or budget(entries2)
+                if top2 + reach2 < base:
+                    weight2, partner = code2 + shift2, code2 + shift_key2
+                else:
+                    weight2, partner = unpacked(w2, entries2)
+                if weight2 != weight:
                     return "partner changes the weight"
-                key, partner = (w.slots, entries), (w2.slots, entries2)
                 if partner not in open_pairs:
                     open_pairs[key] = partner
                 elif open_pairs.pop(partner) != key:
@@ -384,9 +438,9 @@ def verify_process_identity(
         for lam, c, hits in support:
             if len(hits) != labellings or lam in strayed:
                 return f"completed pairs miss {labellings - len(hits)} labellings of {lam}"
-            for u in hits:
-                u_positions, u_sign = read(u)
-                unmatched[u_positions] = unmatched.get(u_positions, 0) - c * u_sign
+            for slots in hits:
+                u_code, _, u_sign, _ = readings[slots]
+                unmatched[u_code] = unmatched.get(u_code, 0) - c * u_sign
         if any(unmatched.values()):
             return "completed pairs do not regroup into the signed shape sums"
         return None
@@ -398,7 +452,7 @@ def verify_process_identity(
         r,
         m,
         n_beads,
-        n_pairs,
+        n_aborted + n_completed,
         n_aborted,
         n_completed,
         failure

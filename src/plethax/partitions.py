@@ -260,9 +260,9 @@ def enumerate_supersets(mu: Partition, r: int, m: int) -> list[tuple[Partition, 
     if m < 0:
         raise ValueError(f"strip count must be nonnegative, got {m}")
     n = len(mu) + r * m
-    return [
-        (_mask_shape(mask), sign) for mask, sign in _add_strips(_bead_mask(mu, n), r, m)
-    ]
+    # Masks on one bead count decrease exactly when their shapes do.
+    found = sorted(_add_strips(_bead_mask(mu, n), r, m), reverse=True)
+    return [(_mask_shape(mask), sign) for mask, sign in found]
 
 
 def _bead_mask(lam: Partition, n_beads: int) -> int:
@@ -288,8 +288,9 @@ def _mask_shape(mask: int) -> Partition:
 
 def _add_strips(mask: int, r: int, m: int) -> list[tuple[int, int]]:
     """enumerate_supersets on a bead mask (see _bead_mask): the mask of every
-    shape m r-strips above the one of `mask`, with the chain sign, in
-    decreasing order, which is the shapes' order too.
+    shape m r-strips above the one of `mask`, with the chain sign, in the
+    order the search reaches them.  A later strip may land higher than an
+    earlier one, so that order is not sorted; enumerate_supersets sorts.
 
     Every shape keeps the bead count of `mask`, which must be at least the
     rows of the starting shape plus r*m, so no strip runs out of beads.
@@ -325,5 +326,4 @@ def _add_strips(mask: int, r: int, m: int) -> list[tuple[int, int]]:
     extend(mask, m, mask.bit_count(), 1)
     if len({child for child, _ in found}) != len(found):
         raise RuntimeError("two strip chains reached the same shape")
-    found.sort(reverse=True)
     return found

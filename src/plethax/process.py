@@ -96,6 +96,15 @@ class Unsuccessful(NamedTuple):
     position: int
 
 
+# A NamedTuple's own constructor is a Python function around tuple.__new__,
+# and LabelledAbacus._unchecked and Composition._unchecked are calls too.
+# run_process and _partner run once per pair of a sweep, so they build the
+# same objects as those would, without the call.
+_new = tuple.__new__
+_object = object.__new__
+_set_entries = Composition.entries.__set__
+
+
 class ProcessTrace(NamedTuple):
     initial: LabelledAbacus
     beta: Composition
@@ -126,14 +135,15 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     left empty (the outcome and the move bookkeeping are unchanged), which
     the bulk sweeps rely on.
     """
-    beta = _composition(beta, w.n_beads)
+    if beta.__class__ is not Composition or len(beta.entries) != w.n_beads:
+        beta = _composition(beta, w.n_beads)
     if r < 1:
         raise ValueError(f"shift distance must be positive, got {r}")
 
     alpha = list(beta.entries)
     remaining = sum(alpha)
     if remaining == 0:
-        return ProcessTrace(w, beta, r, (), Successful(w))
+        return _new(ProcessTrace, (w, beta, r, (), _new(Successful, (w,))))
 
     # Each move shifts one bead r slots, so r * remaining slots of padding
     # hold every landing.  The rightmost bead sits on slot end - 1.
@@ -155,9 +165,8 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
             if blocker:
                 if record_steps:
                     steps.append(_step(w, slots, end, alpha, i, bead, "collided"))
-                return ProcessTrace(
-                    w, beta, r, tuple(steps), Unsuccessful(bead, blocker, i)
-                )
+                outcome = _new(Unsuccessful, (bead, blocker, i))
+                return _new(ProcessTrace, (w, beta, r, tuple(steps), outcome))
             slots[i] = 0
             slots[target] = bead
             alpha[bead - 1] -= 1
@@ -175,9 +184,8 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
             if record_steps:
                 steps.append(_step(w, slots, end, alpha, i, bead, "moved", top))
             if remaining == 0:
-                return ProcessTrace(
-                    w, beta, r, tuple(steps), Successful(_abacus(w, slots, end))
-                )
+                outcome = _new(Successful, (_abacus(w, slots, end),))
+                return _new(ProcessTrace, (w, beta, r, tuple(steps), outcome))
     raise RuntimeError("scan passed every bead with budget left")
 
 
@@ -226,10 +234,12 @@ def _partner(w: LabelledAbacus, beta: Composition, r: int, outcome: Unsuccessful
         raise RuntimeError(f"collision of beads {bead} and {blocker} has no partner")
     slots[at_bead] = blocker
     slots[at_blocker] = bead
-    return (
-        LabelledAbacus._unchecked(tuple(slots), w.n_beads),
-        Composition._unchecked(tuple(entries)),
-    )
+    partner = _object(LabelledAbacus)
+    partner.slots = tuple(slots)
+    partner.n_beads = w.n_beads
+    budget = _object(Composition)
+    _set_entries(budget, tuple(entries))
+    return partner, budget
 
 
 def psi(w: LabelledAbacus, beta, r: int) -> LabelledAbacus:

@@ -586,6 +586,37 @@ def test_verify_process_reports_partner_changing_weight(monkeypatch):
     assert report.detail == "partner changes the weight"
 
 
+def _partner_carrying(base):
+    """The true partner with `base` added to one budget entry and 1 taken
+    from the next.  At r=1 the packed weight in base `base` stays the same,
+    but the exponent tuples differ: the larger entry carries into the next
+    variable."""
+
+    def fault(w, beta, partner):
+        w2, beta2 = partner
+        entries = list(beta2.entries)
+        j = next((j for j in range(1, len(entries)) if entries[j]), None)
+        if j is None:
+            return partner
+        entries[j - 1] += base
+        entries[j] -= 1
+        return w2, Composition(tuple(entries))
+
+    return fault
+
+
+# mu=() r=1 m=2 on 3 beads packs weights in base 0 + 3 + 1*2.
+_CARRY_CASE, _CARRY_BASE = (Partition(), 1, 2, 3), 5
+
+
+def test_verify_process_reports_partner_changing_weight_by_a_carry(monkeypatch):
+    _partner_fault(_partner_carrying(_CARRY_BASE))(monkeypatch)
+    report = verify_process_identity(*_CARRY_CASE)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (1, 1, 0)
+    assert report.detail == "partner changes the weight"
+
+
 def _partner_budget_resized(resize):
     return lambda w, beta, partner: (partner[0], Composition(resize(partner[1].entries)))
 
@@ -766,6 +797,7 @@ def test_verify_process_matches_regeneration_on_the_strata(monkeypatch):
             for pair, partner, _ in _COMPLETED_PARTNERS
         ],
         (_partner_fault(_partner_keeping_the_budget), (Partition((1,)), 2, 1, 3)),
+        (_partner_fault(_partner_carrying(_CARRY_BASE)), _CARRY_CASE),
         (_partner_fault(_partner_budget_resized(lambda e: e[:-1])), (Partition((1,)), 2, 1, 3)),
         (_partner_fault(_partner_budget_resized(lambda e: e + (0,))), (Partition((1,)), 2, 1, 3)),
         (_patched("enumerate_pairs", _images_cycled), (Partition((1,)), 2, 1, 3)),
@@ -783,6 +815,7 @@ def test_verify_process_matches_regeneration_on_the_strata(monkeypatch):
         "completed-partner-first",
         "completed-partner-last",
         "partner-changing-weight",
+        "partner-changing-weight-by-a-carry",
         "partner-budget-short",
         "partner-budget-long",
         "images-cycled",

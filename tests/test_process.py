@@ -339,6 +339,27 @@ def test_slot_list_scan_matches_r_move_scan(w, r, record_steps, data):
     assert trace == scan_by_r_move(w, beta, r, record_steps)
 
 
+@pytest.mark.parametrize("record_steps", [False, True])
+@pytest.mark.parametrize(
+    "slots,beta,r,moves,completes",
+    [
+        # Bead 1 collides with bead 2 on the last stored slot.
+        ((1, 0, 2), (1, 0), 2, 0, False),
+        # Bead 2 lands on slot 2, past the two stored slots.
+        ((1, 2), (0, 1), 1, 1, True),
+        # Bead 1 moves to slot 2, then bead 2 collides with bead 3.
+        ((1, 0, 0, 2, 0, 3), (1, 1, 0), 2, 1, False),
+    ],
+    ids=["blocked-on-last-slot", "lands-past-the-end", "blocked-after-a-move"],
+)
+def test_slot_list_scan_edge_cases_match_r_move_scan(slots, beta, r, moves, completes, record_steps):
+    w = LabelledAbacus(slots)
+    trace = run_process(w, beta, r, record_steps)
+    assert trace == scan_by_r_move(w, beta, r, record_steps)
+    assert trace.successful == completes
+    assert len(run_process(w, beta, r).moves) == moves
+
+
 @given(abacus_st(), st.integers(1, 4), st.data())
 def test_epsilon_matches_the_partner_built_by_swap(w, r, data):
     beta = data.draw(
