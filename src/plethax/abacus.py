@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations, zip_longest
 from math import factorial
 
-from .partitions import Partition, _shape_at, bead_positions
+from .partitions import Partition, _mask_shape, bead_positions
 from .polynomials import _check_budget, _integer, permutation_sign
 
 
@@ -167,7 +167,7 @@ class LabelledAbacus:
         return permutation_sign([label - 1 for label in reversed(self.slots) if label])
 
     def shape(self) -> Partition:
-        return _shape_at(self.support())
+        return _mask_shape(sum(1 << i for i, label in enumerate(self.slots) if label))
 
     def positions(self) -> tuple[int, ...]:
         """Slot of each bead: entry l-1 is the slot of the bead labelled l."""

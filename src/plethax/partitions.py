@@ -4,12 +4,12 @@ Partitions are weakly decreasing tuples of positive integers.  Row indices
 are 1-based throughout, with ``part(i) == 0`` past the last row, so skew
 shapes, strip tops and strip bottoms read the way Young diagrams are drawn.
 
-Strip lookup works on bead positions: a partition seen through n beads is
-the strictly decreasing sequence ``part(j) + n - j``, and removing a strip
-of size r is the same as shifting one bead r slots to the left.  That makes
-the chain peeling and the superset enumeration cheap and collision-free.
-The superset enumeration holds the positions as the bits of one int, so a
-strip is two flipped bits and its sign and top row are bit counts.
+Strip moves work on bead masks: a partition seen through n beads is the
+strictly decreasing sequence ``part(j) + n - j`` of bead slots, held as the
+set bits of one int.  Adding or removing a strip of size r moves one bead
+r slots, which flips two bits, and the strip's sign, top and bottom rows
+are bit counts.  The superset enumeration grows strips this way, the chain
+decomposition peels them, and both read shapes back off the mask.
 """
 
 from dataclasses import dataclass
@@ -154,30 +154,7 @@ def partition_from_positions(positions) -> Partition:
         raise ValueError(f"bead positions must be distinct, got {given}")
     if any(y < 0 for y in given):
         raise ValueError(f"bead positions must be nonnegative, got {given}")
-    return _shape_at(sorted(given, reverse=True))
-
-
-def _shape_at(positions) -> Partition:
-    """The shape of strictly decreasing nonnegative positions: row j is
-    positions[j-1] - (n - j), so it is a partition and is not re-checked."""
-    n = len(positions)
-    parts = [y + j for j, y in enumerate(positions, 1 - n)]
-    while parts and not parts[-1]:
-        parts.pop()
-    return Partition._unchecked(tuple(parts))
-
-
-def _peel(pos: tuple[int, ...], idx: int, r: int) -> tuple[tuple[int, ...], int] | None:
-    """Strictly decreasing pos with the bead at index idx moved r slots left,
-    and the index it lands at (the strip's bottom row minus 1), or None when
-    the landing slot is taken or negative."""
-    target = pos[idx] - r
-    land = idx + 1
-    while land < len(pos) and pos[land] > target:
-        land += 1
-    if target < 0 or pos[land : land + 1] == (target,):
-        return None
-    return pos[:idx] + pos[idx + 1 : land] + (target,) + pos[land:], land - 1
+    return _mask_shape(sum(1 << y for y in given))
 
 
 @dataclass(frozen=True)
@@ -212,31 +189,32 @@ class BorderStripChain:
 def r_decompose(skew: SkewPartition, r: int) -> BorderStripChain | None:
     """The unique border-strip chain from inner to outer, or None.
 
-    Peels on len(outer) beads: the last strip of a valid chain is forced to
-    have the skew's top, the first bead off inner's position, so moving that
-    bead r slots left and recursing finds the chain or proves there is none.
-    A bead left of inner's is a row shorter than inner's, and peeling never
-    lengthens a row, so only the end is compared with inner.
+    Peels on the bead masks (see _bead_mask) of outer and inner on
+    len(outer) beads.  The last strip of a valid chain is forced to have the
+    skew's top, so its bead sits on the highest slot where the two masks
+    differ; moving that bead r slots left and repeating finds the chain or
+    proves there is none.  The strip's top row is the beads at and above
+    that slot before the move, and its bottom row the beads at and above the
+    landing slot after it.  When the highest differing slot holds one of
+    inner's beads instead, the shape has a row shorter than inner's, which
+    no peel lengthens, so there is no chain.
     """
     if r < 1:
         raise ValueError(f"strip size must be positive, got {r}")
     if skew.size % r:
         return None
     n = len(skew.outer)
-    pos, goal = bead_positions(skew.outer, n), bead_positions(skew.inner, n)
+    mask, goal = _bead_mask(skew.outer, n), _bead_mask(skew.inner, n)
     shapes, tops, bottoms = [skew.outer], [], []
-    t = 0  # tops weakly increase: a move leaves the beads above it in place
     for _ in range(skew.size // r):
-        while pos[t] == goal[t]:
-            t += 1
-        peeled = _peel(pos, t, r) if pos[t] > goal[t] else None
-        if peeled is None:
+        p = (mask ^ goal).bit_length() - 1
+        if p < r or not mask >> p & 1 or mask >> p - r & 1:
             return None
-        pos, landing = peeled
-        shapes.insert(0, _shape_at(pos))
-        tops.insert(0, t + 1)
-        bottoms.insert(0, landing + 1)
-    if pos != goal:
+        tops.insert(0, (mask >> p).bit_count())
+        mask ^= (1 | 1 << r) << p - r
+        bottoms.insert(0, (mask >> p - r).bit_count())
+        shapes.insert(0, _mask_shape(mask))
+    if mask != goal:
         return None
     return BorderStripChain(r, tuple(shapes), tuple(tops), tuple(bottoms))
 

@@ -26,13 +26,14 @@ from plethax import (
     Partition,
     SkewPartition,
     bead_positions,
+    canonical_abacus,
     enumerate_supersets,
     partition_from_positions,
     partitions_of,
     r_decompose,
     sgn_r,
 )
-from plethax.partitions import _bead_mask, _mask_shape, _peel, _shape_at
+from plethax.partitions import _bead_mask, _mask_shape
 
 
 @st.composite
@@ -151,20 +152,25 @@ def test_bead_positions_round_trip(lam, extra):
     mask = _bead_mask(lam, n)
     assert mask == sum(1 << p for p in pos)
     assert _mask_shape(mask) == lam
+    assert canonical_abacus(lam, n).shape() == lam
 
 
 def test_border_strip_with_top_goldens():
-    # _peel moves the bead of row t (index t - 1) r slots left and returns
-    # the new positions with the strip's bottom row minus 1.
-    lam = Partition((8, 6, 6, 5, 5, 1))
-    pos, landing = _peel(bead_positions(lam, 6), 0, 5)
-    assert (pos, landing) == ((10, 9, 8, 7, 6, 1), 2)
-    assert _shape_at(pos) == Partition((5, 5, 5, 5, 5, 1))
-    pos, landing = _peel(bead_positions(Partition((2, 2)), 2), 0, 2)
-    assert (_shape_at(pos), landing) == (Partition((1, 1)), 1)
-    assert _peel(bead_positions(Partition((2, 1, 1)), 3), 0, 2) is None
-    # row 2 of (3) is empty: its bead would land below slot 0
-    assert _peel(bead_positions(Partition((3,)), 2), 1, 2) is None
+    # one peel moves the bead of the strip's top row r slots left
+    def peel(outer, inner, r):
+        return r_decompose(SkewPartition(Partition(outer), Partition(inner)), r)
+
+    chain = peel((8, 6, 6, 5, 5, 1), (5, 5, 5, 5, 5, 1), 5)
+    assert (chain.tops, chain.bottoms) == ((1,), (3,))
+    assert chain.shapes == (Partition((5, 5, 5, 5, 5, 1)), Partition((8, 6, 6, 5, 5, 1)))
+    chain = peel((2, 2), (1, 1), 2)
+    assert (chain.shapes, chain.tops, chain.bottoms) == (
+        (Partition((1, 1)), Partition((2, 2))), (1,), (2,)
+    )
+    # the bead of row 1 would land on row 2's bead
+    assert peel((2, 1, 1), (1, 1), 2) is None
+    # the bead of row 1 would land below slot 0
+    assert peel((2, 2), (), 4) is None
 
 
 @pytest.mark.parametrize("size", range(1, 8))
@@ -172,22 +178,24 @@ def test_border_strip_with_top_matches_cell_scan(size):
     # the strip the bead peel finds must be the one cell-based search finds
     for lam in partitions_of(size):
         for r in range(1, size + 1):
-            by_top = {}
+            tops = set()
             for nu in strips_below(lam, r):
-                t = skew_top(SkewPartition(lam, nu))
-                assert t not in by_top  # at most one strip per top row
-                by_top[t] = nu
-            for t in range(1, len(lam) + 1):
-                peeled = _peel(bead_positions(lam, len(lam)), t - 1, r)
-                assert (None if peeled is None else _shape_at(peeled[0])) == by_top.get(t)
+                skew = SkewPartition(lam, nu)
+                t = skew_top(skew)
+                assert t not in tops  # at most one strip per top row
+                tops.add(t)
+                chain = r_decompose(skew, r)
+                assert (chain.shapes, chain.tops, chain.bottoms) == (
+                    (nu, lam), (t,), (skew_bottom(skew),)
+                )
 
 
 def test_cell_level_oracles_call_no_strip_code():
     """The cell-level strip readers share no code with the bead-position
     strip code they check: no name they use, or that an oracle they call
     uses, is one of it."""
-    checked = {"_peel", "_add_strips", "_shape_at", "_bead_mask", "_mask_shape",
-               "bead_positions", "r_decompose", "enumerate_supersets"}
+    checked = {"_add_strips", "_bead_mask", "_mask_shape", "bead_positions",
+               "r_decompose", "enumerate_supersets"}
     tree = ast.parse(Path(oracles.__file__).read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     todo = ["skew_top", "skew_bottom", "skew_cells", "strip_sign", "is_border_strip"]
@@ -308,6 +316,19 @@ def test_decomposition_agrees_on_larger_shapes(size, pick, data):
     mu = data.draw(st.sampled_from(list(subpartitions(lam))))
     r = data.draw(st.integers(1, max(lam.size - mu.size, 1)))
     assert sgn_r(SkewPartition(lam, mu), r) == chain_sign_by_search(lam, mu, r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_r_decompose_undoes_enumerate_supersets_past_64_bits(r):
+    # mu's first bead sits on slot 62 + len(lam) - 1 or higher, so every
+    # mask the peel walks is 64 to 79 bits wide
+    mu = Partition((62, 3))
+    for m in (1, 2, 3):
+        for lam, sign in enumerate_supersets(mu, r, m):
+            chain = r_decompose(SkewPartition(lam, mu), r)
+            assert chain.sign == sign
+            assert (chain.shapes[0], chain.shapes[-1]) == (mu, lam)
+            assert all(a >= b for a, b in zip(chain.tops, chain.tops[1:]))
 
 
 @given(partition_st(max_size=6), partition_st(max_size=6))

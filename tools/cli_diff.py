@@ -36,7 +36,11 @@ space that is renamed away fails the import.  The requests are:
   search, `bench/checks.py`), and on skews with no strip chain: every outer
   of the same size that contains mu but is outside the support, and for
   r > 1 the outer that lengthens mu's first row by r*m - 1 cells, a size
-  that is not a multiple of r.
+  that is not a multiple of r;
+- `sgn`, plain and json, with inner (62,3) on each of the 21 outers of
+  `WIDE_SGN`'s support (mu = (62,3), r = 5, m = 2), sent with `--r` 5, 2
+  and 10, which all divide the size 10, so chains and skews with none
+  both come up; the peel's bead masks are 64 to 74 bits wide.
 
 Prints the number of requests per kind and every mismatch; exits 1 if any.
 """
@@ -52,13 +56,15 @@ from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# The strip search holds a shape's bead slots as the bits of one int; these
-# requests grow masks of 73 to 115 bits.
+# The strip search and the strip peel hold a shape's bead slots as the bits
+# of one int; these expands grow masks of 73 to 115 bits, and the sgn
+# requests on WIDE_SGN's support peel masks of 64 to 74 bits.
 WIDE_EXPANDS = [
     ["expand", "--mu", "20,10", "--r", "10", "--m", "4"],
     ["expand", "--mu", "30,1", "--rho", "7,5", "--nu", "2,1"],
     ["expand", "--mu", "12", "--rho", "9,8", "--nu", "3"],
 ]
+WIDE_SGN = ((62, 3), 5, 2)  # (mu, r, m)
 
 
 def compositions(total, length):
@@ -182,6 +188,12 @@ def requests():
         if r > 1:
             first = mu[0] if mu else 0
             outers.append(((first + r * m - 1,) + mu[1:], mu, r))
+    mu, r, m = WIDE_SGN
+    outers += [
+        (outer, mu, strip)
+        for outer in sorted(supersets(mu, r, m), reverse=True)
+        for strip in (r, 2, 2 * r)
+    ]
     sgns = [
         ["sgn", "--outer", text(outer), "--inner", text(mu), "--r", str(r)] for outer, mu, r in outers
     ]
@@ -261,6 +273,7 @@ def main(old_root, new_root):
             key += f" {perturbation}" * bool(perturbation)
             key += f" exit {b[0]}" * bool(b[0])
         elif kind == "sgn":
+            key += " wide" * (argv[argv.index("--inner") + 1] == text(WIDE_SGN[0]))
             key += " no chain" if b[1] == "0\n" or '"chain": null' in b[1] else " chain"
         counts[key] = counts.get(key, 0) + 1
         if a != b:
