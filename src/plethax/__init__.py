@@ -8,7 +8,6 @@ checked along two independent paths.
 from .abacus import (
     Collision,
     LabelledAbacus,
-    Monomial,
     all_abaci,
     canonical_abacus,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "DEFAULT_PRIME",
     "EvalPoint",
     "LabelledAbacus",
-    "Monomial",
     "Partition",
     "ProcessIdentityReport",
     "ProcessStep",

@@ -3,17 +3,17 @@
 An abacus carries three readings at once.  Listing the labels from the
 rightmost bead to the leftmost gives a permutation, whose sign is the sign
 of the abacus.  Each bead contributes its slot index as the exponent of the
-variable named by its label, giving the weight monomial.  And the slot
-indices themselves, read right to left as ``position - n + rank``, give the
-shape.  Moving a bead r slots to the right grows the shape by an r-border
-strip; moving it left removes one.
+variable named by its label, giving the weight monomial, which is held as
+its exponent tuple.  And the slot indices themselves, read right to left as
+``position - n + rank``, give the shape.  Moving a bead r slots to the
+right grows the shape by an r-border strip; moving it left removes one.
 
 Abaci are value types: every operation returns a new abacus, and equality
 ignores trailing empty slots.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, zip_longest
+from itertools import permutations
 from math import factorial
 
 from .partitions import Partition, _mask_shape, bead_positions
@@ -27,80 +27,6 @@ class Collision:
     bead: int
     blocker: int
     position: int
-
-
-class Monomial:
-    """A product of variable powers stored as its exponent vector: entry i is
-    the exponent of variable i+1, without trailing zeros, so the empty vector
-    is the constant 1.
-    """
-
-    __slots__ = ("_vector",)
-
-    def __init__(self, powers=()):
-        vector = []
-        items = powers.items() if isinstance(powers, dict) else powers
-        for var, exp in items:
-            var = _integer(var)
-            exp = _integer(exp)
-            if var < 1:
-                raise ValueError(f"variable index must be >= 1, got {var}")
-            if exp < 0:
-                raise ValueError(f"exponent must be nonnegative, got {exp}")
-            vector += [0] * (var - len(vector))
-            vector[var - 1] += exp
-        self._vector = Monomial.from_vector(vector)._vector
-
-    @classmethod
-    def from_vector(cls, exponents):
-        """Monomial with exponents[i] on variable i+1."""
-        vector = tuple(map(_integer, exponents))
-        if min(vector, default=0) < 0:
-            bad = next(e for e in vector if e < 0)
-            raise ValueError(f"exponent must be nonnegative, got {bad}")
-        while vector and not vector[-1]:
-            vector = vector[:-1]
-        out = cls.__new__(cls)
-        out._vector = vector
-        return out
-
-    def exponent(self, var: int) -> int:
-        return self._vector[var - 1] if 1 <= var <= len(self._vector) else 0
-
-    def items(self):
-        return ((v, e) for v, e in enumerate(self._vector, start=1) if e)
-
-    @property
-    def degree(self) -> int:
-        return sum(self._vector)
-
-    def vector(self, n_vars: int) -> tuple[int, ...]:
-        """Dense exponent tuple for variables 1..n_vars."""
-        past = [v for v, _ in self.items() if v > n_vars]
-        if past:
-            raise ValueError(f"variable x{past[0]} does not fit in {n_vars} variables")
-        return self._vector + (0,) * (n_vars - len(self._vector))
-
-    def __mul__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return Monomial.from_vector(
-            map(sum, zip_longest(self._vector, other._vector, fillvalue=0))
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self._vector == other._vector
-
-    def __hash__(self):
-        return hash(self._vector)
-
-    def __repr__(self):
-        return f"Monomial({tuple(self.items())!r})"
-
-    def __str__(self):
-        return " ".join(
-            f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in self.items()
-        ) or "1"
 
 
 class LabelledAbacus:
@@ -177,9 +103,10 @@ class LabelledAbacus:
                 out[label - 1] = i
         return tuple(out)
 
-    def weight(self) -> Monomial:
-        """Product over beads of x_label ** position."""
-        return Monomial.from_vector(self.positions())
+    def weight(self) -> tuple[int, ...]:
+        """Exponent tuple of the monomial prod_l x_l ** position(l): the
+        same tuple as positions(), trailing zeros kept."""
+        return self.positions()
 
     def r_move(self, bead: int, r: int):
         """Shift a bead r slots rightward; a LabelledAbacus, or a Collision

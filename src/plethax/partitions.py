@@ -93,9 +93,11 @@ def partitions_of(n: int, max_length: int | None = None):
         raise ValueError(f"max_length must be nonnegative, got {max_length}")
     limit = n if max_length is None else min(max_length, n)
 
+    # The recursion only appends parts no larger than the last one, so every
+    # prefix is already weakly decreasing and positive.
     def rec(remaining, cap, rows_left, prefix):
         if remaining == 0:
-            yield Partition(prefix)
+            yield Partition._unchecked(tuple(prefix))
             return
         if rows_left == 0:
             return

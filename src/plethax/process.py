@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import NamedTuple
 
-from .abacus import LabelledAbacus, Monomial, all_abaci
+from .abacus import LabelledAbacus, all_abaci
 from .partitions import Partition, SkewPartition, r_decompose
 from .polynomials import _check_budget, _integer, compositions
 
@@ -302,11 +302,9 @@ def k_set(mu: Partition, lam: Partition, n_beads: int, r: int, m: int):
     return sequences
 
 
-def weight_with_budget(
-    w: LabelledAbacus, beta, r: int
-) -> Monomial:
-    """The invariant the process conserves: weight(w) times x^(r * beta)."""
+def weight_with_budget(w: LabelledAbacus, beta, r: int) -> tuple[int, ...]:
+    """The invariant the process conserves, as an exponent tuple: weight(w)
+    times x^(r * beta), so entry l-1 is the slot of bead l plus r times its
+    budget entry."""
     beta = _composition(beta, w.n_beads)
-    return Monomial.from_vector(
-        [p + r * e for p, e in zip(w.positions(), beta.entries)]
-    )
+    return tuple(p + r * e for p, e in zip(w.positions(), beta.entries))

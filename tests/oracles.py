@@ -7,7 +7,8 @@ cell-level strip readers (skew_top, skew_bottom, skew_cells, strip_sign,
 is_border_strip) off the strip code they check.  The exceptions are
 references for faster package code: naive_alternant_product
 multiplies every monomial out, eliminated_alternant_eval reduces the full
-N x N alternant matrix mod p, scan_by_r_move runs the bead-scanning
+N x N alternant matrix mod p, leibniz_det_mod sums a determinant's n!
+permutation products, scan_by_r_move runs the bead-scanning
 process on immutable abaci, one r_move per move, partner_by_swap reads
 epsilon's partner off a collision through LabelledAbacus.position and
 .swap, supersets_by_shapes checks every shape the strip search reaches
@@ -19,7 +20,8 @@ verify_process_by_regeneration checks the process replay's bijection by
 regenerating every labelling of the support shapes.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
+from math import prod
 
 from plethax import (
     Collision,
@@ -203,22 +205,13 @@ def inversion_sign(seq) -> int:
     return -1 if inversions % 2 else 1
 
 
-def monomial_powers(pairs) -> dict[int, int]:
-    """A monomial as a plain {variable: exponent} dict: repeated variables
-    add up and zero exponents are left out."""
-    powers: dict[int, int] = {}
-    for var, exp in pairs:
-        powers[var] = powers.get(var, 0) + exp
-    return {var: exp for var, exp in powers.items() if exp}
-
-
-def monomial_text(powers: dict[int, int]) -> str:
-    """'x1^6 x2^3' style, variables ascending; '1' for the empty monomial."""
-    if not powers:
-        return "1"
-    return " ".join(
-        f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in sorted(powers.items())
-    )
+def leibniz_det_mod(rows, p: int) -> int:
+    """Determinant mod p as the signed sum over permutations of the products
+    rows[i][perm[i]]."""
+    return sum(
+        inversion_sign(perm) * prod(row[j] for row, j in zip(rows, perm))
+        for perm in permutations(range(len(rows)))
+    ) % p
 
 
 def p_poly(r: int, n_vars: int) -> SparsePolynomial:

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import beads_between, inversion_sign, monomial_powers, monomial_text
+from oracles import beads_between, inversion_sign
 from plethax import (
     Collision,
     LabelledAbacus,
-    Monomial,
     Partition,
     all_abaci,
     bead_positions,
@@ -50,18 +49,12 @@ def test_constructor_validates_labels():
         (lambda: LabelledAbacus(("1",)), "'1'"),
         (lambda: LabelledAbacus.from_positions([(0.5, 1)]), "0.5"),
         (lambda: LabelledAbacus.from_positions([(0, 1.0)]), "1.0"),
-        (lambda: Monomial.from_vector([1.7]), "1.7"),
-        (lambda: Monomial({1: 2.5}), "2.5"),
-        (lambda: Monomial({"1": 2}), "'1'"),
     ],
     ids=[
         "slots-float",
         "slots-str",
         "position-float",
         "label-float",
-        "vector-float",
-        "exponent-float",
-        "variable-str",
     ],
 )
 def test_non_integral_entries_are_rejected(build, bad):
@@ -91,9 +84,7 @@ def test_golden_readings(abacus_533221):
     assert w.sign() == 1
     assert w.shape() == Partition((5, 3, 3, 2, 2, 1))
     assert w.support() == (10, 7, 6, 4, 3, 1)
-    assert w.weight() == Monomial(
-        {1: 6, 2: 3, 3: 10, 4: 1, 5: 4, 6: 7}
-    )
+    assert w.weight() == (6, 3, 10, 1, 4, 7)
     assert w.render() == ".4.25.16..3"
     assert w.render_pairs() == "1:4,3:2,4:5,6:1,7:6,10:3"
     assert w.position(3) == 10
@@ -119,7 +110,7 @@ def test_canonical_abacus():
     assert w.sigma() == (1, 2, 3, 4, 5, 6)
     assert w.sign() == 1
     assert w.shape() == Partition((5, 3, 3, 2, 2, 1))
-    assert canonical_abacus(Partition(), 3).weight() == Monomial({1: 2, 2: 1})
+    assert canonical_abacus(Partition(), 3).weight() == (2, 1, 0)
     with pytest.raises(ValueError):
         canonical_abacus(Partition((2, 1, 1)), 2)
 
@@ -153,9 +144,9 @@ def test_beads_between_counts_no_slot_below_zero():
 def test_r_move_round_trip_and_sign(w, r, data):
     positions = w.positions()
     assert positions == tuple(w.slots.index(label) for label in range(1, w.n_beads + 1))
-    assert w.weight() == Monomial.from_vector(positions)
+    assert w.weight() == positions
     beta = data.draw(st.lists(st.integers(0, 3), min_size=w.n_beads, max_size=w.n_beads))
-    assert weight_with_budget(w, beta, r).vector(w.n_beads) == tuple(
+    assert weight_with_budget(w, beta, r) == tuple(
         p + r * e for p, e in zip(positions, beta)
     )
     for bead in range(1, w.n_beads + 1):
@@ -166,7 +157,9 @@ def test_r_move_round_trip_and_sign(w, r, data):
         x = w.position(bead)
         jumped = beads_between(w, x, x + r)
         assert out.sign() == (-1) ** jumped * w.sign()
-        assert out.weight() == w.weight() * Monomial({bead: r})
+        assert out.weight() == tuple(
+            p + r * (label == bead) for label, p in enumerate(positions, start=1)
+        )
         assert out.left_r_move(bead, r) == w
 
 
@@ -229,21 +222,6 @@ def test_abaci_signs_split_evenly(size, data):
     assert signs.count(1) == signs.count(-1) == math.factorial(n) // 2
 
 
-def test_monomial_algebra():
-    m = Monomial({2: 3, 1: 6})
-    assert str(m) == "x1^6 x2^3"
-    assert m.degree == 9
-    assert m.exponent(5) == 0
-    assert m * Monomial({2: 1, 7: 2}) == Monomial({1: 6, 2: 4, 7: 2})
-    assert Monomial({1: 0}) == Monomial({})
-    assert tuple(Monomial.from_vector((2, 0, 1)).items()) == ((1, 2), (3, 1))
-    assert m.vector(4) == (6, 3, 0, 0)
-    with pytest.raises(ValueError):
-        Monomial({1: -2})
-    with pytest.raises(ValueError):
-        m.vector(1)
-
-
 def test_sigma_lists_labels_right_to_left():
     for w in itertools.islice(all_abaci(Partition((2, 2)), 3), 0, 24, 5):
         labels = [w.slot(p) for p in w.support()]
@@ -257,42 +235,6 @@ def test_sign_matches_brute_force_inversion_count(n):
             continue
         for w in all_abaci(lam, n):
             assert w.sign() == inversion_sign(w.sigma())
-
-
-pairs_st = st.lists(st.tuples(st.integers(1, 6), st.integers(0, 3)), max_size=8)
-
-
-@given(pairs_st, pairs_st)
-def test_monomial_matches_dict_model(pairs_a, pairs_b):
-    a, b = Monomial(pairs_a), Monomial(pairs_b)
-    model_a, model_b = monomial_powers(pairs_a), monomial_powers(pairs_b)
-    assert (a == b) == (model_a == model_b)
-    if model_a == model_b:
-        assert hash(a) == hash(b)
-    assert a == Monomial(model_a)
-    assert tuple(a.items()) == tuple(sorted(model_a.items()))
-    for var in range(1, 9):
-        assert a.exponent(var) == model_a.get(var, 0)
-    assert a.degree == sum(model_a.values())
-    assert a.vector(6) == tuple(model_a.get(v, 0) for v in range(1, 7))
-    assert Monomial.from_vector(a.vector(6)) == a
-    product_model = monomial_powers([*model_a.items(), *model_b.items()])
-    assert a * b == Monomial(product_model)
-    assert tuple((a * b).items()) == tuple(sorted(product_model.items()))
-    assert str(a) == monomial_text(model_a)
-    assert repr(a) == f"Monomial({tuple(sorted(model_a.items()))!r})"
-
-
-def test_monomial_error_messages():
-    with pytest.raises(ValueError, match=r"^variable index must be >= 1, got 0$"):
-        Monomial({0: 1})
-    with pytest.raises(ValueError, match=r"^exponent must be nonnegative, got -2$"):
-        Monomial([(3, -2)])
-    with pytest.raises(ValueError, match=r"^exponent must be nonnegative, got -1$"):
-        Monomial.from_vector((2, 0, -1))
-    m = Monomial({2: 1, 5: 2, 7: 1})
-    with pytest.raises(ValueError, match=r"^variable x5 does not fit in 3 variables$"):
-        m.vector(3)
 
 
 def _check_moved(out, w):

@@ -295,6 +295,17 @@ def test_usage_errors_exit_1(capsys, argv):
          "(2,1) needs at least 2 beads, got 1"),
         (("trace", "--abacus", "0:1,0:2", "--beta", "0,0", "--r", "1"),
          "two beads on slot 0"),
+        # the CLI's own argument checks, before any library call
+        (("trace", "--abacus", "0:1", "--beta", "1", "--r", "0"),
+         "--r must be positive"),
+        (("verify", "--mu", "1", "--r", "0", "--m", "1", "--N", "3"),
+         "--r and --m must be positive"),
+        (("verify", "--mu", "1", "--r", "1", "--m", "1", "--N", "0"),
+         "--N must be positive"),
+        (("expand", "--mu", "1", "--rho", "", "--nu", "1"),
+         "--rho and --nu must be non-empty partitions"),
+        (("trace", "--abacus", "0:a", "--beta", "1", "--r", "1"),
+         "expected position:label, got '0:a'"),
     ],
 )
 def test_input_errors_print_the_library_message(capsys, argv, message):

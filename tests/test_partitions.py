@@ -92,6 +92,15 @@ def test_partitions_of_counts():
     ]
 
 
+def test_partitions_of_builds_no_checked_partition(checked_partitions):
+    sixes = list(partitions_of(6))
+    assert checked_partitions == []
+    assert [lam.parts for lam in sixes] == [
+        (6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (3, 1, 1, 1),
+        (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
+    ]
+
+
 def test_partitions_of_checks_arguments_at_the_call():
     with pytest.raises(ValueError, match="cannot partition a negative integer"):
         partitions_of(-1)

@@ -12,6 +12,7 @@ from oracles import (
     eliminated_alternant_eval,
     evaluate,
     inversion_sign,
+    leibniz_det_mod,
     naive_alternant_product,
     p_poly,
     sorted_terms,
@@ -298,6 +299,39 @@ def test_a_beta_eval_takes_the_smaller_jacobi_trudi_determinant(
     assert sizes == [size]
 
 
+@pytest.mark.parametrize(
+    "rows, det",
+    [
+        ([[0, 1], [1, 0]], DEFAULT_PRIME - 1),
+        ([[0, 2, 1], [3, 0, 0], [0, 1, 0]], 3),
+        # singular: rows 2 and 3 agree up to a factor, found after a swap
+        ([[0, 1, 1], [1, 0, 0], [2, 0, 0]], 0),
+        ([[0, 0], [0, 5]], 0),
+    ],
+)
+def test_det_mod_swaps_rows_past_a_zero_pivot(rows, det):
+    assert leibniz_det_mod(rows, DEFAULT_PRIME) == det
+    assert polynomials._det_mod([row[:] for row in rows], DEFAULT_PRIME) == det
+
+
+@st.composite
+def zero_corner_matrix_st(draw):
+    """A 1x1 to 5x5 matrix of small entries whose top-left entry is 0, so
+    elimination starts by looking for a row to swap in."""
+    n = draw(st.integers(1, 5))
+    rows = [
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(n)
+    ]
+    rows[0][0] = 0
+    return rows
+
+
+@given(zero_corner_matrix_st())
+def test_det_mod_matches_leibniz_on_zero_pivots(rows):
+    expected = leibniz_det_mod(rows, DEFAULT_PRIME)
+    assert polynomials._det_mod([row[:] for row in rows], DEFAULT_PRIME) == expected
+
+
 @st.composite
 def shapes_at_point_st(draw, n_vars):
     """(shapes, point): up to four partitions of at most N parts, each in
@@ -467,6 +501,17 @@ def test_straighten_product_shares_the_alternant_guard():
         straighten_product((1, 0), p_poly(1, 3))
     with pytest.raises(ValueError, match="nonnegative"):
         straighten_product((1, -1), p_poly(1, 2))
+
+
+def test_package_source_has_no_assert_statements():
+    """Invariants raise errors that python -O keeps; an assert would vanish."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(polynomials.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_polynomials_imports_nothing_from_plethax():

@@ -15,7 +15,6 @@ from plethax import (
     Collision,
     Composition,
     LabelledAbacus,
-    Monomial,
     Partition,
     ProcessStep,
     ProcessTrace,
@@ -33,6 +32,7 @@ from plethax import (
     weight_with_budget,
 )
 from plethax.polynomials import GuardError
+from plethax.process import _partner
 
 
 def test_composition_basics():
@@ -249,7 +249,7 @@ def test_k_set_size_and_final_labellings(mu, lam, n, r, m):
 
 def test_weight_with_budget(abacus_533221):
     inv = weight_with_budget(abacus_533221, (0, 2, 0, 1, 0, 0), 5)
-    assert inv == abacus_533221.weight() * Monomial({2: 10, 4: 5})
+    assert inv == (6, 3 + 10, 10, 1 + 5, 4, 7)
 
 
 def small_cases(max_beads=3, max_m=2, max_r=2, max_mu=2):
@@ -371,6 +371,23 @@ def test_epsilon_matches_the_partner_built_by_swap(w, r, data):
     ref, ref_beta = partner_by_swap(w, trace.beta, r, trace.outcome)
     assert (w2.slots, w2.n_beads) == (ref.slots, ref.n_beads)
     assert beta2.entries == ref_beta.entries
+
+
+@pytest.mark.parametrize(
+    "slots, entries, r, outcome",
+    [
+        # the blocker sits left of the bead
+        ((1, 2), (1, 1), 2, Unsuccessful(2, 1, 1)),
+        # the gap of 3 slots is not a multiple of r
+        ((1, 0, 0, 2), (1, 0), 2, Unsuccessful(1, 2, 0)),
+        # closing the gap of 2 shifts takes more than the bead's 1 move
+        ((1, 0, 0, 0, 2), (1, 0), 2, Unsuccessful(1, 2, 0)),
+    ],
+)
+def test_partner_refuses_a_collision_the_process_cannot_reach(slots, entries, r, outcome):
+    message = f"collision of beads {outcome.bead} and {outcome.blocker} has no partner"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        _partner(LabelledAbacus(slots), Composition(entries), r, outcome)
 
 
 def test_scan_order_guard_fires_on_an_undercounted_abacus():
