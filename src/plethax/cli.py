@@ -19,7 +19,7 @@ from .expansion import (
     verify_process_identity,
 )
 from .partitions import Partition, SkewPartition, r_decompose
-from .polynomials import GuardError
+from .polynomials import GuardError, _check_budget
 # epsilon is not used here; it stays bound because the benchmark
 # (bench/tracing.py) reaches it by name in this module.
 from .process import Composition, _partner, epsilon, run_process  # noqa: F401
@@ -204,6 +204,8 @@ def _cmd_trace(args) -> int:
             f"--beta has {len(entries)} entries for {w.n_beads} beads"
         )
     beta = Composition(entries)
+    # The scan pads the abacus with r slots per move.
+    _check_budget(args.r * sum(entries), "scan slots")
     trace = run_process(w, beta, args.r)
 
     partner = None

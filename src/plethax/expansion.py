@@ -254,9 +254,11 @@ def verify_process_identity(
 
     Aborted pairs must cancel term by term under epsilon (partner aborted,
     sign reversed, combined weight kept, involution).  Completed pairs must
-    biject onto the labelled abaci of the expansion support, matching the
-    chain sign on every image, and their signed weights must regroup into
-    the signed abacus sums of those shapes.
+    biject onto the labelled abaci of the expansion support, keeping the
+    weight and matching the chain sign on every image.  That their signed
+    weights regroup into the signed abacus sums of those shapes follows
+    from the bijection, each pair cancelling its own image, so it is not
+    tallied.
 
     The run enumerate_pairs makes is the only run per pair: an aborted
     pair's epsilon partner is read off the collision that ended that run,
@@ -292,8 +294,7 @@ def verify_process_identity(
     which is no labelling of that shape and fails the shape's bijection.
     So every image counted under a key is a labelling of its shape, distinct
     from the others by the bucket check, and the shape's n_beads!
-    labellings are all hit exactly when n_beads! images are counted.  The
-    regroup tally runs over those images.
+    labellings are all hit exactly when n_beads! images are counted.
 
     Support shapes with more rows than beads cannot occur as images (a shape
     on n_beads beads has at most n_beads rows) and contribute nothing in
@@ -365,10 +366,8 @@ def verify_process_identity(
         }
         support = list(targets.values())
         strayed = set()
-        # Signed weights by weight key: the aborted pairs, and the completed
-        # pairs minus the signed abacus sums of the support shapes.
+        # Signed weights of the aborted pairs by weight key.
         aborted: dict[int | tuple, int] = {}
-        unmatched: dict[int | tuple, int] = {}
         # Aborted pairs whose partner has not come up yet, by involution
         # key, with the key of that partner.
         open_pairs: dict[int | tuple, int | tuple] = {}
@@ -388,7 +387,6 @@ def verify_process_identity(
             outcome = trace.outcome
             if isinstance(outcome, Successful):
                 n_completed += 1
-                unmatched[weight] = unmatched.get(weight, 0) + sign
                 image = outcome.abacus
                 image_slots = image.slots
                 image_code, _, image_sign, image_key = (
@@ -435,14 +433,9 @@ def verify_process_identity(
         if any(aborted.values()):
             return "aborted pairs do not cancel"
         labellings = factorial(n_beads)
-        for lam, c, hits in support:
+        for lam, _, hits in support:
             if len(hits) != labellings or lam in strayed:
                 return f"completed pairs miss {labellings - len(hits)} labellings of {lam}"
-            for slots in hits:
-                u_code, _, u_sign, _ = readings[slots]
-                unmatched[u_code] = unmatched.get(u_code, 0) - c * u_sign
-        if any(unmatched.values()):
-            return "completed pairs do not regroup into the signed shape sums"
         return None
 
     failure = first_failure()

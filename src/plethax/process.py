@@ -150,7 +150,6 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     end = len(w.slots)
     slots = list(w.slots) + [0] * (r * remaining)
     steps: list[ProcessStep] = []
-    last_source = -1
     last_top = w.n_beads + 1
     for i, bead in enumerate(slots):
         if not bead:
@@ -177,10 +176,11 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
             right = slots[target + 1:end]
             top = 1 + len(right) - right.count(0)
             # Completed runs realise the strictly-increasing-source /
-            # weakly-decreasing-top pattern that indexes move sequences.
-            if not (i > last_source and top <= last_top):
+            # weakly-decreasing-top pattern that indexes move sequences; the
+            # sources increase as the scan does, so only the tops are checked.
+            if top > last_top:
                 raise RuntimeError(f"move from slot {i} breaks the scan order")
-            last_source, last_top = i, top
+            last_top = top
             if record_steps:
                 steps.append(_step(w, slots, end, alpha, i, bead, "moved", top))
             if remaining == 0:

@@ -306,6 +306,13 @@ def test_usage_errors_exit_1(capsys, argv):
          "--rho and --nu must be non-empty partitions"),
         (("trace", "--abacus", "0:a", "--beta", "1", "--r", "1"),
          "expected position:label, got '0:a'"),
+        # the scan pads r slots per move, guarded before the padding is built
+        (("trace", "--abacus", "0:1", "--beta", "99999999999999999999", "--r", "1"),
+         "99999999999999999999 scan slots exceeds the enumeration budget 10000000; "
+         "set PLETHAX_BUDGET higher to proceed"),
+        (("trace", "--abacus", "5:1", "--beta", "1", "--r", "999999999999"),
+         "999999999999 scan slots exceeds the enumeration budget 10000000; "
+         "set PLETHAX_BUDGET higher to proceed"),
     ],
 )
 def test_input_errors_print_the_library_message(capsys, argv, message):

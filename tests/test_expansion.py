@@ -1,7 +1,10 @@
+import ast
+import inspect
 import math
+import random
 import re
 from collections import Counter
-from itertools import product
+from itertools import product, takewhile
 
 import pytest
 from hypothesis import example, given
@@ -462,22 +465,6 @@ def test_verify_modular_reports_first_mismatching_point(monkeypatch):
     )
 
 
-def test_verify_process_reports_broken_sign_law(monkeypatch):
-    monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
-    report = verify_process_identity(Partition((1,)), 2, 1, 3)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == (3, 1, 2)
-    assert report.detail == "sign law broken on a completed pair with shape (3)"
-
-
-def test_verify_process_reports_image_outside_support(monkeypatch):
-    monkeypatch.setattr(expansion, "pmn_expand", _drop_first_term(pmn_expand))
-    report = verify_process_identity(Partition((1,)), 2, 1, 3)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == (3, 1, 2)
-    assert report.detail == (
-        "completed pair landed on (3), outside the expansion support"
-    )
 
 
 def _patched(attr, make):
@@ -511,79 +498,9 @@ def _partner_fault(fault):
     return inject
 
 
-def _partner_to_itself(w, beta, partner):
-    return w, beta
-
-
-def test_verify_process_reports_partner_keeping_sign(monkeypatch):
-    _partner_fault(_partner_to_itself)(monkeypatch)
-    report = verify_process_identity(Partition((1,)), 2, 1, 3)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
-    assert report.detail == "partner does not reverse sign"
-
-
 def _partner_except(pair, replacement):
     """The partner of one pair replaced."""
     return lambda w, beta, partner: replacement if (w, beta) == pair else partner
-
-
-# (321, (0,0,2)) and (213, (1,1,0)) share sign +1 and their weight; the
-# partner of the second, (123, (2,0,0)), is handed to the first as well.
-_PARTNER_NOT_MAPPING_BACK = (
-    (LabelledAbacus((3, 2, 1)), Composition((0, 0, 2))),
-    (LabelledAbacus((1, 2, 3)), Composition((2, 0, 0))),
-)
-
-
-def test_verify_process_reports_partner_not_mapping_back(monkeypatch):
-    _partner_fault(_partner_except(*_PARTNER_NOT_MAPPING_BACK))(monkeypatch)
-    report = verify_process_identity(Partition(), 1, 2, 3)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == (8, 7, 1)
-    assert report.detail == "pairing is not an involution"
-
-
-_COMPLETED_PARTNERS = [
-    # The first pair's own partner (12, (1,1)) comes up fifth and maps back
-    # to a pair that is open with another partner.
-    (
-        (LabelledAbacus((2, 1)), Composition((0, 2))),
-        (LabelledAbacus((0, 1, 2)), Composition((0, 0))),
-        (5, 3, 2),
-    ),
-    # The last pair's own partner (21, (1,1)) came up second, so both stay
-    # open after the last pair.
-    (
-        (LabelledAbacus((1, 2)), Composition((2, 0))),
-        (LabelledAbacus((0, 2, 1)), Composition((0, 0))),
-        (6, 4, 2),
-    ),
-]
-
-
-@pytest.mark.parametrize("pair,partner,counts", _COMPLETED_PARTNERS)
-def test_verify_process_reports_completed_partner(monkeypatch, pair, partner, counts):
-    """Moving a bead over the other with both its moves spent reverses the
-    sign and keeps the weight, but the partner then completes, so it never
-    comes up among the aborted pairs to map back."""
-    _partner_fault(_partner_except(pair, partner))(monkeypatch)
-    report = verify_process_identity(Partition(), 1, 2, 2)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == counts
-    assert report.detail == "pairing is not an involution"
-
-
-def _partner_keeping_the_budget(w, beta, partner):
-    return partner[0], beta
-
-
-def test_verify_process_reports_partner_changing_weight(monkeypatch):
-    _partner_fault(_partner_keeping_the_budget)(monkeypatch)
-    report = verify_process_identity(Partition((1,)), 2, 1, 3)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
-    assert report.detail == "partner changes the weight"
 
 
 def _partner_carrying(base):
@@ -605,31 +522,15 @@ def _partner_carrying(base):
     return fault
 
 
-# mu=() r=1 m=2 on 3 beads packs weights in base 0 + 3 + 1*2.
-_CARRY_CASE, _CARRY_BASE = (Partition(), 1, 2, 3), 5
-
-
-def test_verify_process_reports_partner_changing_weight_by_a_carry(monkeypatch):
-    _partner_fault(_partner_carrying(_CARRY_BASE))(monkeypatch)
-    report = verify_process_identity(*_CARRY_CASE)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == (1, 1, 0)
-    assert report.detail == "partner changes the weight"
-
-
 def _partner_budget_resized(resize):
     return lambda w, beta, partner: (partner[0], Composition(resize(partner[1].entries)))
 
 
-@pytest.mark.parametrize("resize", [lambda e: e[:-1], lambda e: e + (0,)], ids=["short", "long"])
-def test_verify_process_rejects_a_partner_budget_of_the_wrong_length(monkeypatch, resize):
-    _partner_fault(_partner_budget_resized(resize))(monkeypatch)
-    n = len(resize((0, 0, 0)))
-    with pytest.raises(ValueError, match=f"^budget has {n} entries for 3 beads$"):
-        verify_process_identity(Partition((1,)), 2, 1, 3)
-
-
 def _images_cycled(real):
+    """Completed images relabelled by the 3-cycle 1 -> 2 -> 3 -> 1, which
+    keeps their shape and their sign, as the cycle is even, but moves every
+    bead's slot to another label."""
+
     def cycled(mu, n_beads, r, m):
         for w, beta, trace in real(mu, n_beads, r, m):
             if trace.successful:
@@ -640,25 +541,15 @@ def _images_cycled(real):
     return cycled
 
 
-def test_verify_process_reports_completed_pair_changing_weight(monkeypatch):
-    """Relabelling a completed image by the 3-cycle 1 -> 2 -> 3 -> 1 keeps
-    its shape and its sign, as the cycle is even, but moves every bead's
-    slot to another label."""
-    monkeypatch.setattr(expansion, "enumerate_pairs", _images_cycled(expansion.enumerate_pairs))
-    report = verify_process_identity(Partition((1,)), 2, 1, 3)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == (1, 0, 1)
-    assert report.detail == "weight not conserved on a completed pair with shape (1,1,1)"
-
-
-def _first_completed_pair(times):
-    """enumerate_pairs with its first completed pair yielded `times` times."""
+def _first_pair(successful, times):
+    """enumerate_pairs with its first completed pair, or its first aborted
+    one when successful is false, yielded `times` times."""
 
     def make(real):
         def patched(mu, n_beads, r, m):
             first = True
             for pair in real(mu, n_beads, r, m):
-                if first and pair[2].successful:
+                if first and pair[2].successful == successful:
                     first = False
                     yield from [pair] * times
                 else:
@@ -669,29 +560,10 @@ def _first_completed_pair(times):
     return make
 
 
-def test_verify_process_reports_a_missed_labelling(monkeypatch):
-    monkeypatch.setattr(
-        expansion, "enumerate_pairs", _first_completed_pair(0)(expansion.enumerate_pairs)
-    )
-    report = verify_process_identity(Partition((1,)), 2, 1, 3)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == (17, 6, 11)
-    assert report.detail == "completed pairs miss 1 labellings of (1,1,1)"
-
-
-def test_verify_process_reports_a_shared_image(monkeypatch):
-    monkeypatch.setattr(
-        expansion, "enumerate_pairs", _first_completed_pair(2)(expansion.enumerate_pairs)
-    )
-    report = verify_process_identity(Partition((1,)), 2, 1, 3)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 0, 2)
-    assert report.detail == "two completed pairs share the image LabelledAbacus((0, 2, 3, 1))"
-
-
 def _first_image_with_an_extra_bead(real):
     """The first completed image with a bead n_beads + 1 put below the
-    others, one slot lower: the same shape on one bead more."""
+    others, one slot lower: the same shape on one bead more, which is no
+    labelling of it."""
 
     def patched(mu, n_beads, r, m):
         first = True
@@ -708,7 +580,8 @@ def _first_image_with_an_extra_bead(real):
 def _pairs_on_one_more_bead(with_own):
     """enumerate_pairs run on n_beads + 1 beads, after the pairs on n_beads
     when with_own is set: the images are the support shapes on one bead
-    more, which are no labellings of them."""
+    more, which are no labellings of them, even when all n_beads! of their
+    labellings are hit as well."""
 
     def make(real):
         def patched(mu, n_beads, r, m):
@@ -719,29 +592,6 @@ def _pairs_on_one_more_bead(with_own):
         return patched
 
     return make
-
-
-@pytest.mark.parametrize(
-    "make,counts,detail",
-    [
-        (
-            _first_image_with_an_extra_bead,
-            (1, 0, 1),
-            "weight not conserved on a completed pair with shape (1)",
-        ),
-        (_pairs_on_one_more_bead(False), (4, 2, 2), "completed pairs miss 1 labellings of (1)"),
-        (_pairs_on_one_more_bead(True), (5, 2, 3), "completed pairs miss 0 labellings of (1)"),
-    ],
-    ids=["extra-bead", "wider", "own-and-wider"],
-)
-def test_verify_process_reports_images_on_another_bead_count(monkeypatch, make, counts, detail):
-    """An image of a support shape on n_beads + 1 beads is no labelling of
-    it, even when all of its n_beads! labellings are hit as well."""
-    monkeypatch.setattr(expansion, "enumerate_pairs", make(expansion.enumerate_pairs))
-    report = verify_process_identity(Partition(), 1, 1, 1)
-    assert not report.ok
-    assert (report.n_pairs, report.n_aborted, report.n_completed) == counts
-    assert report.detail == detail
 
 
 def _outcome(verify, case):
@@ -785,49 +635,190 @@ def test_verify_process_matches_regeneration_on_the_strata(monkeypatch):
     assert len(agreed) == n_aborted > 0 and all(agreed)
 
 
-@pytest.mark.parametrize(
-    "inject,case",
-    [
-        (_patched("pmn_expand", _flip_first_sign), (Partition((1,)), 2, 1, 3)),
-        (_patched("pmn_expand", _drop_first_term), (Partition((1,)), 2, 1, 3)),
-        (_partner_fault(_partner_to_itself), (Partition((1,)), 2, 1, 3)),
-        (_partner_fault(_partner_except(*_PARTNER_NOT_MAPPING_BACK)), (Partition(), 1, 2, 3)),
-        *[
-            (_partner_fault(_partner_except(pair, partner)), (Partition(), 1, 2, 2))
-            for pair, partner, _ in _COMPLETED_PARTNERS
-        ],
-        (_partner_fault(_partner_keeping_the_budget), (Partition((1,)), 2, 1, 3)),
-        (_partner_fault(_partner_carrying(_CARRY_BASE)), _CARRY_CASE),
-        (_partner_fault(_partner_budget_resized(lambda e: e[:-1])), (Partition((1,)), 2, 1, 3)),
-        (_partner_fault(_partner_budget_resized(lambda e: e + (0,))), (Partition((1,)), 2, 1, 3)),
-        (_patched("enumerate_pairs", _images_cycled), (Partition((1,)), 2, 1, 3)),
-        (_patched("enumerate_pairs", _first_completed_pair(0)), (Partition((1,)), 2, 1, 3)),
-        (_patched("enumerate_pairs", _first_completed_pair(2)), (Partition((1,)), 2, 1, 3)),
-        (_patched("enumerate_pairs", _first_image_with_an_extra_bead), (Partition((1,)), 2, 1, 3)),
-        (_patched("enumerate_pairs", _pairs_on_one_more_bead(False)), (Partition(), 1, 2, 2)),
-        (_patched("enumerate_pairs", _pairs_on_one_more_bead(True)), (Partition(), 1, 2, 2)),
-    ],
-    ids=[
-        "flip-first-sign",
-        "drop-first-term",
-        "partner-keeping-sign",
-        "partner-not-mapping-back",
-        "completed-partner-first",
-        "completed-partner-last",
-        "partner-changing-weight",
-        "partner-changing-weight-by-a-carry",
-        "partner-budget-short",
-        "partner-budget-long",
-        "images-cycled",
-        "missed-labelling",
-        "shared-image",
-        "extra-bead",
-        "wider",
-        "own-and-wider",
-    ],
-)
-def test_verify_process_matches_regeneration_under_faults(monkeypatch, inject, case):
+
+_CASE = (Partition((1,)), 2, 1, 3)
+
+# Each fault with the case it runs on, the report's (pairs, aborted,
+# completed) counts or ValueError, and its detail or error message.
+_PROCESS_FAULTS = [
+    pytest.param(_patched("pmn_expand", _flip_first_sign), _CASE, (3, 1, 2),
+                 "sign law broken on a completed pair with shape (3)", id="flip-first-sign"),
+    pytest.param(_patched("pmn_expand", _drop_first_term), _CASE, (3, 1, 2),
+                 "completed pair landed on (3), outside the expansion support",
+                 id="drop-first-term"),
+    pytest.param(_partner_fault(lambda w, beta, partner: (w, beta)), _CASE, (2, 1, 1),
+                 "partner does not reverse sign", id="partner-keeping-sign"),
+    # (321, (0,0,2)) and (213, (1,1,0)) share sign +1 and their weight; the
+    # partner of the second, (123, (2,0,0)), is handed to the first as well.
+    pytest.param(_partner_fault(_partner_except(
+        (LabelledAbacus((3, 2, 1)), Composition((0, 0, 2))),
+        (LabelledAbacus((1, 2, 3)), Composition((2, 0, 0))),
+    )), (Partition(), 1, 2, 3), (8, 7, 1), "pairing is not an involution",
+        id="partner-not-mapping-back"),
+    # Moving a bead over the other with both its moves spent reverses the
+    # sign and keeps the weight, but the partner then completes, so it never
+    # comes up among the aborted pairs to map back.  The first pair's own
+    # partner (12, (1,1)) comes up fifth and maps back to a pair that is
+    # open with another partner.
+    pytest.param(_partner_fault(_partner_except(
+        (LabelledAbacus((2, 1)), Composition((0, 2))),
+        (LabelledAbacus((0, 1, 2)), Composition((0, 0))),
+    )), (Partition(), 1, 2, 2), (5, 3, 2), "pairing is not an involution",
+        id="completed-partner-first"),
+    # The last pair's own partner (21, (1,1)) came up second, so both stay
+    # open after the last pair.
+    pytest.param(_partner_fault(_partner_except(
+        (LabelledAbacus((1, 2)), Composition((2, 0))),
+        (LabelledAbacus((0, 2, 1)), Composition((0, 0))),
+    )), (Partition(), 1, 2, 2), (6, 4, 2), "pairing is not an involution",
+        id="completed-partner-last"),
+    # The true partner abacus with the pair's own budget.
+    pytest.param(_partner_fault(lambda w, beta, partner: (partner[0], beta)), _CASE, (2, 1, 1),
+                 "partner changes the weight", id="partner-changing-weight"),
+    # mu=() r=1 m=2 on 3 beads packs weights in base 0 + 3 + 1*2.
+    pytest.param(_partner_fault(_partner_carrying(5)), (Partition(), 1, 2, 3), (1, 1, 0),
+                 "partner changes the weight", id="partner-changing-weight-by-a-carry"),
+    pytest.param(_partner_fault(_partner_budget_resized(lambda e: e[:-1])), _CASE, ValueError,
+                 "budget has 2 entries for 3 beads", id="partner-budget-short"),
+    pytest.param(_partner_fault(_partner_budget_resized(lambda e: e + (0,))), _CASE, ValueError,
+                 "budget has 4 entries for 3 beads", id="partner-budget-long"),
+    pytest.param(_patched("enumerate_pairs", _images_cycled), _CASE, (1, 0, 1),
+                 "weight not conserved on a completed pair with shape (1,1,1)",
+                 id="images-cycled"),
+    pytest.param(_patched("enumerate_pairs", _first_pair(True, 0)), _CASE, (17, 6, 11),
+                 "completed pairs miss 1 labellings of (1,1,1)", id="missed-labelling"),
+    pytest.param(_patched("enumerate_pairs", _first_pair(True, 2)), _CASE, (2, 0, 2),
+                 "two completed pairs share the image LabelledAbacus((0, 2, 3, 1))",
+                 id="shared-image"),
+    # The involution lookup keeps one entry per pair, so a repeated aborted
+    # pair shows only in the signed weights of the aborted pairs.
+    pytest.param(_patched("enumerate_pairs", _first_pair(False, 2)), _CASE, (19, 7, 12),
+                 "aborted pairs do not cancel", id="repeated-aborted"),
+    pytest.param(_patched("enumerate_pairs", _first_pair(False, 0)), _CASE, (17, 5, 12),
+                 "pairing is not an involution", id="dropped-aborted"),
+    pytest.param(_patched("enumerate_pairs", _first_image_with_an_extra_bead),
+                 (Partition(), 1, 1, 1), (1, 0, 1),
+                 "weight not conserved on a completed pair with shape (1)", id="extra-bead-N1"),
+    pytest.param(_patched("enumerate_pairs", _first_image_with_an_extra_bead), _CASE, (1, 0, 1),
+                 "weight not conserved on a completed pair with shape (1,1,1)", id="extra-bead"),
+    pytest.param(_patched("enumerate_pairs", _pairs_on_one_more_bead(False)),
+                 (Partition(), 1, 1, 1), (4, 2, 2),
+                 "completed pairs miss 1 labellings of (1)", id="wider-N1"),
+    pytest.param(_patched("enumerate_pairs", _pairs_on_one_more_bead(False)),
+                 (Partition(), 1, 2, 2), (36, 30, 6),
+                 "completed pairs miss 2 labellings of (2)", id="wider"),
+    pytest.param(_patched("enumerate_pairs", _pairs_on_one_more_bead(True)),
+                 (Partition(), 1, 1, 1), (5, 2, 3),
+                 "completed pairs miss 0 labellings of (1)", id="own-and-wider-N1"),
+    pytest.param(_patched("enumerate_pairs", _pairs_on_one_more_bead(True)),
+                 (Partition(), 1, 2, 2), (42, 34, 8),
+                 "completed pairs miss 0 labellings of (2)", id="own-and-wider"),
+]
+
+
+@pytest.mark.parametrize("inject, case, counts, detail", _PROCESS_FAULTS)
+def test_verify_process_matches_regeneration_under_faults(monkeypatch, inject, case, counts, detail):
+    """Each fault gives its pinned report, and the reference's."""
     inject(monkeypatch)
     report = _outcome(verify_process_identity, case)
     assert report == _outcome(verify_process_by_regeneration, case)
-    assert isinstance(report, tuple) or not report.ok
+    if counts is ValueError:
+        assert report == (ValueError, detail)
+    else:
+        assert not report.ok
+        assert (report.n_pairs, report.n_aborted, report.n_completed) == counts
+        assert report.detail == detail
+
+
+def test_every_replay_failure_is_pinned_by_a_fault():
+    """Each failure detail the replay returns begins a pinned detail."""
+    tree = ast.parse(inspect.getsource(expansion))
+    replay = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "first_failure"
+    )
+    prefixes = set()
+    for node in ast.walk(replay):
+        value = node.value if isinstance(node, ast.Return) else None
+        if isinstance(value, ast.JoinedStr):
+            parts = takewhile(lambda part: isinstance(part, ast.Constant), value.values)
+            prefixes.add("".join(part.value for part in parts))
+        elif isinstance(value, ast.Constant) and isinstance(value.value, str):
+            prefixes.add(value.value)
+    pinned = [param.values[3] for param in _PROCESS_FAULTS]
+    unpinned = [p for p in prefixes if not p or not any(d.startswith(p) for d in pinned)]
+    assert len(prefixes) >= 8 and unpinned == []
+
+
+_FAULT_KINDS = ("drop", "repeat", "image", "partner", "budget")
+
+
+def _random_fault(kind, seed, rate):
+    """One kind of fault, put on each pair with the given rate by a generator
+    seeded from (seed, w.slots, beta.entries), so both verifiers see the
+    same faults: the pair dropped or repeated, its completed image or its
+    partner relabelled, or one unit of its partner's budget moved to a
+    random entry."""
+
+    def draw(w, beta):
+        rng = random.Random(repr((seed, w.slots, beta.entries)))
+        return rng if rng.random() < rate else None
+
+    def relabelled(u, rng):
+        labels = rng.sample(range(1, u.n_beads + 1), u.n_beads)
+        return LabelledAbacus(tuple(labels[x - 1] if x else 0 for x in u.slots))
+
+    def pairs(real):
+        def patched(mu, n_beads, r, m):
+            for w, beta, trace in real(mu, n_beads, r, m):
+                rng = draw(w, beta)
+                if rng is None:
+                    yield w, beta, trace
+                    continue
+                if kind == "image" and trace.successful:
+                    image = relabelled(trace.outcome.abacus, rng)
+                    trace = trace._replace(outcome=Successful(image))
+                yield from [(w, beta, trace)] * {"drop": 0, "repeat": 2}.get(kind, 1)
+
+        return patched
+
+    def partner(w, beta, true_partner):
+        rng = draw(w, beta)
+        w2, beta2 = true_partner
+        if rng is None:
+            return true_partner
+        if kind == "partner":
+            return relabelled(w2, rng), beta2
+        entries = list(beta2.entries)
+        entries[rng.choice([k for k, e in enumerate(entries) if e])] -= 1
+        entries[rng.randrange(len(entries))] += 1
+        return w2, Composition(tuple(entries))
+
+    if kind in ("partner", "budget"):
+        return _partner_fault(partner)
+    return _patched("enumerate_pairs", pairs)
+
+
+_RANDOM_FAULT_CASES = [
+    (mu, r, m, n)
+    for size in range(3)
+    for mu in partitions_of(size)
+    for r in (1, 2)
+    for m in (1, 2)
+    for n in range(max(len(mu), 1), 4)
+]
+
+
+def test_verify_process_matches_regeneration_under_random_faults(monkeypatch):
+    rng = random.Random(26)
+    reached = set()
+    for seed in range(300):
+        case, kind = rng.choice(_RANDOM_FAULT_CASES), rng.choice(_FAULT_KINDS)
+        with monkeypatch.context() as patch:
+            _random_fault(kind, seed, rng.choice((0.1, 0.3, 0.6)))(patch)
+            report = _outcome(verify_process_identity, case)
+            assert report == _outcome(verify_process_by_regeneration, case), (seed, kind, case)
+        if not report.ok:
+            # The detail with its numbers and shapes taken out.
+            reached.add(re.sub(r"\d+|\(.*", "", report.detail))
+    assert len(reached) >= 6, reached
