@@ -465,6 +465,22 @@ def test_verify_modular_reports_first_mismatching_point(monkeypatch):
     )
 
 
+def test_verify_process_reports_broken_sign_law(monkeypatch):
+    monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (3, 1, 2)
+    assert report.detail == "sign law broken on a completed pair with shape (3)"
+
+
+def test_verify_process_reports_image_outside_support(monkeypatch):
+    monkeypatch.setattr(expansion, "pmn_expand", _drop_first_term(pmn_expand))
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (3, 1, 2)
+    assert report.detail == (
+        "completed pair landed on (3), outside the expansion support"
+    )
 
 
 def _patched(attr, make):
@@ -498,9 +514,79 @@ def _partner_fault(fault):
     return inject
 
 
+def _partner_to_itself(w, beta, partner):
+    return w, beta
+
+
+def test_verify_process_reports_partner_keeping_sign(monkeypatch):
+    _partner_fault(_partner_to_itself)(monkeypatch)
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
+    assert report.detail == "partner does not reverse sign"
+
+
 def _partner_except(pair, replacement):
     """The partner of one pair replaced."""
     return lambda w, beta, partner: replacement if (w, beta) == pair else partner
+
+
+# (321, (0,0,2)) and (213, (1,1,0)) share sign +1 and their weight; the
+# partner of the second, (123, (2,0,0)), is handed to the first as well.
+_PARTNER_NOT_MAPPING_BACK = (
+    (LabelledAbacus((3, 2, 1)), Composition((0, 0, 2))),
+    (LabelledAbacus((1, 2, 3)), Composition((2, 0, 0))),
+)
+
+
+def test_verify_process_reports_partner_not_mapping_back(monkeypatch):
+    _partner_fault(_partner_except(*_PARTNER_NOT_MAPPING_BACK))(monkeypatch)
+    report = verify_process_identity(Partition(), 1, 2, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (8, 7, 1)
+    assert report.detail == "pairing is not an involution"
+
+
+_COMPLETED_PARTNERS = [
+    # The first pair's own partner (12, (1,1)) comes up fifth and maps back
+    # to a pair that is open with another partner.
+    (
+        (LabelledAbacus((2, 1)), Composition((0, 2))),
+        (LabelledAbacus((0, 1, 2)), Composition((0, 0))),
+        (5, 3, 2),
+    ),
+    # The last pair's own partner (21, (1,1)) came up second, so both stay
+    # open after the last pair.
+    (
+        (LabelledAbacus((1, 2)), Composition((2, 0))),
+        (LabelledAbacus((0, 2, 1)), Composition((0, 0))),
+        (6, 4, 2),
+    ),
+]
+
+
+@pytest.mark.parametrize("pair,partner,counts", _COMPLETED_PARTNERS)
+def test_verify_process_reports_completed_partner(monkeypatch, pair, partner, counts):
+    """Moving a bead over the other with both its moves spent reverses the
+    sign and keeps the weight, but the partner then completes, so it never
+    comes up among the aborted pairs to map back."""
+    _partner_fault(_partner_except(pair, partner))(monkeypatch)
+    report = verify_process_identity(Partition(), 1, 2, 2)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == counts
+    assert report.detail == "pairing is not an involution"
+
+
+def _partner_keeping_the_budget(w, beta, partner):
+    return partner[0], beta
+
+
+def test_verify_process_reports_partner_changing_weight(monkeypatch):
+    _partner_fault(_partner_keeping_the_budget)(monkeypatch)
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 1, 1)
+    assert report.detail == "partner changes the weight"
 
 
 def _partner_carrying(base):
@@ -522,8 +608,28 @@ def _partner_carrying(base):
     return fault
 
 
+# mu=() r=1 m=2 on 3 beads packs weights in base 0 + 3 + 1*2.
+_CARRY_CASE, _CARRY_BASE = (Partition(), 1, 2, 3), 5
+
+
+def test_verify_process_reports_partner_changing_weight_by_a_carry(monkeypatch):
+    _partner_fault(_partner_carrying(_CARRY_BASE))(monkeypatch)
+    report = verify_process_identity(*_CARRY_CASE)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (1, 1, 0)
+    assert report.detail == "partner changes the weight"
+
+
 def _partner_budget_resized(resize):
     return lambda w, beta, partner: (partner[0], Composition(resize(partner[1].entries)))
+
+
+@pytest.mark.parametrize("resize", [lambda e: e[:-1], lambda e: e + (0,)], ids=["short", "long"])
+def test_verify_process_rejects_a_partner_budget_of_the_wrong_length(monkeypatch, resize):
+    _partner_fault(_partner_budget_resized(resize))(monkeypatch)
+    n = len(resize((0, 0, 0)))
+    with pytest.raises(ValueError, match=f"^budget has {n} entries for 3 beads$"):
+        verify_process_identity(Partition((1,)), 2, 1, 3)
 
 
 def _images_cycled(real):
@@ -539,6 +645,14 @@ def _images_cycled(real):
             yield w, beta, trace
 
     return cycled
+
+
+def test_verify_process_reports_completed_pair_changing_weight(monkeypatch):
+    monkeypatch.setattr(expansion, "enumerate_pairs", _images_cycled(expansion.enumerate_pairs))
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (1, 0, 1)
+    assert report.detail == "weight not conserved on a completed pair with shape (1,1,1)"
 
 
 def _first_pair(successful, times):
@@ -558,6 +672,26 @@ def _first_pair(successful, times):
         return patched
 
     return make
+
+
+def test_verify_process_reports_a_missed_labelling(monkeypatch):
+    monkeypatch.setattr(
+        expansion, "enumerate_pairs", _first_pair(True, 0)(expansion.enumerate_pairs)
+    )
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (17, 6, 11)
+    assert report.detail == "completed pairs miss 1 labellings of (1,1,1)"
+
+
+def test_verify_process_reports_a_shared_image(monkeypatch):
+    monkeypatch.setattr(
+        expansion, "enumerate_pairs", _first_pair(True, 2)(expansion.enumerate_pairs)
+    )
+    report = verify_process_identity(Partition((1,)), 2, 1, 3)
+    assert not report.ok
+    assert (report.n_pairs, report.n_aborted, report.n_completed) == (2, 0, 2)
+    assert report.detail == "two completed pairs share the image LabelledAbacus((0, 2, 3, 1))"
 
 
 def _first_image_with_an_extra_bead(real):
@@ -635,7 +769,6 @@ def test_verify_process_matches_regeneration_on_the_strata(monkeypatch):
     assert len(agreed) == n_aborted > 0 and all(agreed)
 
 
-
 _CASE = (Partition((1,)), 2, 1, 3)
 
 # Each fault with the case it runs on, the report's (pairs, aborted,
@@ -646,37 +779,19 @@ _PROCESS_FAULTS = [
     pytest.param(_patched("pmn_expand", _drop_first_term), _CASE, (3, 1, 2),
                  "completed pair landed on (3), outside the expansion support",
                  id="drop-first-term"),
-    pytest.param(_partner_fault(lambda w, beta, partner: (w, beta)), _CASE, (2, 1, 1),
+    pytest.param(_partner_fault(_partner_to_itself), _CASE, (2, 1, 1),
                  "partner does not reverse sign", id="partner-keeping-sign"),
-    # (321, (0,0,2)) and (213, (1,1,0)) share sign +1 and their weight; the
-    # partner of the second, (123, (2,0,0)), is handed to the first as well.
-    pytest.param(_partner_fault(_partner_except(
-        (LabelledAbacus((3, 2, 1)), Composition((0, 0, 2))),
-        (LabelledAbacus((1, 2, 3)), Composition((2, 0, 0))),
-    )), (Partition(), 1, 2, 3), (8, 7, 1), "pairing is not an involution",
-        id="partner-not-mapping-back"),
-    # Moving a bead over the other with both its moves spent reverses the
-    # sign and keeps the weight, but the partner then completes, so it never
-    # comes up among the aborted pairs to map back.  The first pair's own
-    # partner (12, (1,1)) comes up fifth and maps back to a pair that is
-    # open with another partner.
-    pytest.param(_partner_fault(_partner_except(
-        (LabelledAbacus((2, 1)), Composition((0, 2))),
-        (LabelledAbacus((0, 1, 2)), Composition((0, 0))),
-    )), (Partition(), 1, 2, 2), (5, 3, 2), "pairing is not an involution",
-        id="completed-partner-first"),
-    # The last pair's own partner (21, (1,1)) came up second, so both stay
-    # open after the last pair.
-    pytest.param(_partner_fault(_partner_except(
-        (LabelledAbacus((1, 2)), Composition((2, 0))),
-        (LabelledAbacus((0, 2, 1)), Composition((0, 0))),
-    )), (Partition(), 1, 2, 2), (6, 4, 2), "pairing is not an involution",
-        id="completed-partner-last"),
-    # The true partner abacus with the pair's own budget.
-    pytest.param(_partner_fault(lambda w, beta, partner: (partner[0], beta)), _CASE, (2, 1, 1),
+    pytest.param(_partner_fault(_partner_except(*_PARTNER_NOT_MAPPING_BACK)),
+                 (Partition(), 1, 2, 3), (8, 7, 1), "pairing is not an involution",
+                 id="partner-not-mapping-back"),
+    *[
+        pytest.param(_partner_fault(_partner_except(pair, partner)), (Partition(), 1, 2, 2),
+                     counts, "pairing is not an involution", id=f"completed-partner-{name}")
+        for (pair, partner, counts), name in zip(_COMPLETED_PARTNERS, ("first", "last"))
+    ],
+    pytest.param(_partner_fault(_partner_keeping_the_budget), _CASE, (2, 1, 1),
                  "partner changes the weight", id="partner-changing-weight"),
-    # mu=() r=1 m=2 on 3 beads packs weights in base 0 + 3 + 1*2.
-    pytest.param(_partner_fault(_partner_carrying(5)), (Partition(), 1, 2, 3), (1, 1, 0),
+    pytest.param(_partner_fault(_partner_carrying(_CARRY_BASE)), _CARRY_CASE, (1, 1, 0),
                  "partner changes the weight", id="partner-changing-weight-by-a-carry"),
     pytest.param(_partner_fault(_partner_budget_resized(lambda e: e[:-1])), _CASE, ValueError,
                  "budget has 2 entries for 3 beads", id="partner-budget-short"),
