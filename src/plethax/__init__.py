@@ -33,7 +33,6 @@ from .partitions import (
 )
 from .polynomials import (
     DEFAULT_PRIME,
-    EvalPoint,
     SparsePolynomial,
     a_beta,
     a_beta_eval,
@@ -67,7 +66,6 @@ __all__ = [
     "Collision",
     "Composition",
     "DEFAULT_PRIME",
-    "EvalPoint",
     "LabelledAbacus",
     "Partition",
     "ProcessIdentityReport",

@@ -134,10 +134,6 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _format_sign(s: int) -> str:
-    return f"{s:+d}" if s else "0"
-
-
 def _cmd_sgn(args) -> int:
     outer = parse_partition(args.outer)
     inner = parse_partition(args.inner)
@@ -172,7 +168,7 @@ def _cmd_sgn(args) -> int:
     if chain is None:
         print("0")
         return 0
-    print(_format_sign(chain.sign))
+    print(f"{chain.sign:+d}")
     if chain.d == 0:
         print("chain: empty")
         return 0
@@ -180,7 +176,7 @@ def _cmd_sgn(args) -> int:
     for k in range(chain.d):
         print(
             f"strip {k + 1}: top {chain.tops[k]} "
-            f"bottom {chain.bottoms[k]} sign {_format_sign(chain.strip_signs[k])}"
+            f"bottom {chain.bottoms[k]} sign {chain.strip_signs[k]:+d}"
         )
     return 0
 

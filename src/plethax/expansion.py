@@ -23,6 +23,7 @@ from .partitions import (
     enumerate_supersets,
 )
 from .polynomials import (
+    DEFAULT_PRIME,
     _alternants_at,
     _integer,
     alternant_guard,
@@ -153,7 +154,6 @@ def verify_against_oracle(
     n_vars: int,
     mode: str = "symbolic",
     seed: int = 0,
-    points: int = 20,
     max_vars: int = 8,
 ) -> VerificationReport:
     """Check a_{mu+delta} * (p_r o h_m) == sum of signed a_{lam+delta} over
@@ -166,10 +166,12 @@ def verify_against_oracle(
     monomials with disjoint supports, so the report counts N! per vector
     and names the grevlex-first monomial of a difference, as a full
     expansion would.  It is guarded at max_vars variables.
-    mode 'modular' compares values at `points` seeded points: one
-    _alternants_at(point) per point, applied to the parts of mu and of
-    every shape, so no exponent vector is built or sorted.  Both sides
+    mode 'modular' compares values at 20 seeded points, fixed by `seed`:
+    one _alternants_at(values) per point, applied to the parts of mu and
+    of every shape, so no exponent vector is built or sorted.  Both sides
     need n_vars at least |mu| + r*m so no shape in the sum is truncated.
+    Every check on the arguments, the symbolic guard included, runs before
+    the strip search.
     """
     _check_factor(r, m)
     bound = mu.size + r * m
@@ -177,11 +179,15 @@ def verify_against_oracle(
         raise ValueError(
             f"need at least |mu| + r*m = {bound} variables, got {n_vars}"
         )
+    if mode == "symbolic":
+        # Trip the guard before the strip search and before h_m's
+        # C(m+N-1, N-1) terms are built.
+        alternant_guard(n_vars, max_vars)
+    elif mode != "modular":
+        raise ValueError(f"unknown mode {mode!r}")
     expansion = pmn_expand(mu, r, m)
 
     if mode == "symbolic":
-        # Trip the guard before h_m's C(m+N-1, N-1) terms are built.
-        alternant_guard(n_vars, max_vars)
         lhs = straighten_product(
             shifted_beta(mu.parts, n_vars),
             plethysm_pr(h_poly(m, n_vars), r),
@@ -203,15 +209,13 @@ def verify_against_oracle(
             exps = min(diff, key=lambda v: v[::-1])
             detail = f"first discrepancy: coefficient {diff[exps]} on exponents {exps}"
         seed, points = None, 0
-    elif mode == "modular":
-        if points < 1:
-            raise ValueError(f"need at least one point, got {points}")
-        for index, point in enumerate(seeded_points(n_vars, points, seed)):
-            p = point.prime
-            alternant = _alternants_at(point)
+    else:
+        p, points = DEFAULT_PRIME, 20
+        for index, values in enumerate(seeded_points(n_vars, points, seed)):
+            alternant = _alternants_at(values)
             lhs_val = (
                 alternant(mu.parts)
-                * h_eval([pow(v, r, p) for v in point.values], m)
+                * h_eval([pow(v, r, p) for v in values], m)
                 % p
             )
             rhs_val = 0
@@ -226,8 +230,6 @@ def verify_against_oracle(
                 break
         else:
             ok, detail = True, f"all {points} seeded points agree"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return VerificationReport(
         ok, mode, mu, r, m, n_vars, seed, points, len(expansion), detail
     )

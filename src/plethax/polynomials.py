@@ -9,9 +9,11 @@ touching the strip or abacus machinery, so agreement between the two
 routes is meaningful.
 
 Everything is exact.  Coefficients are Python ints; the modular path exists
-only to evaluate alternants too large to expand, at seeded points modulo
-one fixed prime.  There each alternant is the Vandermonde determinant times
-a Jacobi-Trudi determinant of at most min(rows, columns) of its shape, over
+only to evaluate alternants too large to expand, at points that are tuples
+of coordinates in [0, DEFAULT_PRIME), modulo that one fixed prime; the
+modular verifier samples 20 seeded points and runs every check before the
+strip search.  There each alternant is the Vandermonde determinant times a
+Jacobi-Trudi determinant of at most min(rows, columns) of its shape, over
 e_k and h_k tables built once per point.
 
 The package's size guards live here too, as this module imports nothing
@@ -20,12 +22,10 @@ from the package; each raises GuardError naming its budget.
 
 import os
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import prod
 from operator import add, index, mul
-from typing import ClassVar
 
 DEFAULT_PRIME = 2_147_483_647  # 2**31 - 1
 DEFAULT_PAIR_BUDGET = 10_000_000
@@ -312,32 +312,12 @@ def straighten_product(beta, f: SparsePolynomial, max_vars: int = 8) -> dict:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class EvalPoint:
-    """Coordinates for modular evaluation, all reduced modulo `prime`."""
-
-    values: tuple[int, ...]
-    prime: ClassVar[int] = DEFAULT_PRIME
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _integers(self.values))
-        if any(not 0 <= v < self.prime for v in self.values):
-            raise ValueError("coordinates must lie in [0, prime)")
-
-    @classmethod
-    def _unchecked(cls, values: tuple[int, ...]) -> "EvalPoint":
-        """Wrap a tuple of ints in [0, prime) as is."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "values", values)
-        return out
-
-
-def seeded_points(n_vars: int, count: int, seed: int) -> list[EvalPoint]:
-    """Deterministic evaluation points: uniform coordinates from `seed`."""
+def seeded_points(n_vars: int, count: int, seed: int) -> list[tuple[int, ...]]:
+    """Deterministic evaluation points: tuples of uniform coordinates in
+    [0, DEFAULT_PRIME) from `seed`."""
     rng = random.Random(seed)
     return [
-        EvalPoint._unchecked(tuple(rng.randrange(DEFAULT_PRIME) for _ in range(n_vars)))
-        for _ in range(count)
+        tuple(rng.randrange(DEFAULT_PRIME) for _ in range(n_vars)) for _ in range(count)
     ]
 
 
@@ -370,9 +350,9 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
-def _alternants_at(point: EvalPoint):
-    """lam -> a_{lam+delta}(values) modulo the point's prime, for the parts
-    lam of a partition with at most one part per coordinate.
+def _alternants_at(values: tuple[int, ...]):
+    """lam -> a_{lam+delta}(values) modulo DEFAULT_PRIME, for the parts lam
+    of a partition with at most one part per coordinate.
 
     a_{lam+delta} = a_delta * det(h_{lam_i-i+j}) = a_delta * det(e_{lam'_i-i+j})
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3.4-3.5), and
@@ -381,11 +361,10 @@ def _alternants_at(point: EvalPoint):
     h_k = sum_i (-1)^(i-1) e_i h_(k-i) as far as the widest shape asks.
     Both tables carry N zeros below index 0, and the e table N more past
     e_N, so every row of a determinant is one slice of its table.  The
-    parts are not checked: a_beta_eval checks and sorts an exponent vector
-    into them.
+    coordinates and parts are not checked: a_beta_eval checks them, and
+    sorts an exponent vector into the parts.
     """
-    p = point.prime
-    values = point.values
+    p = DEFAULT_PRIME
     n = len(values)
     a_delta = 1
     for i, v in enumerate(values):
@@ -424,16 +403,19 @@ def _alternants_at(point: EvalPoint):
     return alternant
 
 
-def a_beta_eval(beta, point: EvalPoint) -> int:
-    """det(values_i ^ beta_j) modulo the point's prime.  Exponents must be
-    nonnegative, one per coordinate.
+def a_beta_eval(beta, values) -> int:
+    """det(values_i ^ beta_j) modulo DEFAULT_PRIME, for int coordinates in
+    [0, DEFAULT_PRIME) and nonnegative exponents, one per coordinate.
 
     Sorting beta into decreasing order costs the sign of the sort (a
     repeated entry gives 0) and leaves lam + delta; the alternant of that
     shape comes from _alternants_at.
     """
+    values = _integers(values)
+    if any(not 0 <= v < DEFAULT_PRIME for v in values):
+        raise ValueError("coordinates must lie in [0, prime)")
     beta = _integers(beta)
-    n = len(point.values)
+    n = len(values)
     if len(beta) != n:
         raise ValueError(f"point has {n} coordinates, need {len(beta)}")
     if beta and min(beta) < 0:
@@ -444,7 +426,7 @@ def a_beta_eval(beta, point: EvalPoint) -> int:
         return 0
     while lam and lam[-1] == 0:
         lam.pop()
-    return permutation_sign(order) * _alternants_at(point)(lam) % point.prime
+    return permutation_sign(order) * _alternants_at(values)(lam) % DEFAULT_PRIME
 
 
 def h_eval(values, m: int) -> int:

@@ -24,6 +24,7 @@ from itertools import combinations, permutations
 from math import prod
 
 from plethax import (
+    DEFAULT_PRIME,
     Collision,
     Composition,
     Partition,
@@ -231,18 +232,18 @@ def sorted_terms(f: SparsePolynomial) -> list[tuple[tuple[int, ...], int]]:
     return sorted(f.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0][::-1]))
 
 
-def evaluate(f: SparsePolynomial, point) -> int:
-    """Value of f at the point, reduced modulo the point's prime, one
-    monomial at a time."""
-    if len(point.values) != f.n_vars:
+def evaluate(f: SparsePolynomial, values) -> int:
+    """Value of f at the coordinate tuple values, reduced modulo
+    DEFAULT_PRIME, one monomial at a time."""
+    if len(values) != f.n_vars:
         raise ValueError(
-            f"point has {len(point.values)} coordinates, need {f.n_vars}"
+            f"point has {len(values)} coordinates, need {f.n_vars}"
         )
-    p = point.prime
+    p = DEFAULT_PRIME
     total = 0
     for exps, coeff in f.terms.items():
         term = coeff % p
-        for v, e in zip(point.values, exps):
+        for v, e in zip(values, exps):
             if e:
                 term = term * pow(v, e, p) % p
         total = (total + term) % p
@@ -255,17 +256,17 @@ def naive_alternant_product(beta, f) -> dict[tuple[int, ...], int]:
     return (a_beta(beta, max_vars=len(beta)) * f).terms
 
 
-def eliminated_alternant_eval(beta, point) -> int:
-    """det(values_i ^ beta_j) modulo the point's prime, by Gaussian
-    elimination on the whole N x N matrix."""
+def eliminated_alternant_eval(beta, values) -> int:
+    """det(values_i ^ beta_j) modulo DEFAULT_PRIME, by Gaussian elimination
+    on the whole N x N matrix."""
     beta = tuple(int(b) for b in beta)
     n = len(beta)
-    if len(point.values) != n:
+    if len(values) != n:
         raise ValueError(
-            f"point has {len(point.values)} coordinates, need {n}"
+            f"point has {len(values)} coordinates, need {n}"
         )
-    p = point.prime
-    rows = [[pow(v, b, p) for b in beta] for v in point.values]
+    p = DEFAULT_PRIME
+    rows = [[pow(v, b, p) for b in beta] for v in values]
     det = 1
     for col in range(n):
         pivot = next((k for k in range(col, n) if rows[k][col]), None)

@@ -9,7 +9,7 @@ import pytest
 
 import plethax.cli as cli
 import plethax.process as process
-from plethax import Partition, pmn_expand, pmn_expand_iterated
+from plethax import Partition, SchurExpansion, pmn_expand, pmn_expand_iterated
 from plethax.cli import main
 
 
@@ -71,6 +71,11 @@ def test_expand_iterated_json(capsys):
     assert json.loads(out)["result"]["terms"] == pmn_expand_iterated(
         Partition((1,)), Partition((2, 1)), Partition((2,))
     ).to_records()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex"])
+def test_render_expansion_of_zero(fmt):
+    assert cli.render_expansion(SchurExpansion(), fmt) == "0"
 
 
 def test_sgn_chain_output(capsys):

@@ -227,14 +227,10 @@ def test_verify_symbolic_passes():
 
 
 def test_verify_modular_passes_and_is_stable():
-    a = verify_against_oracle(
-        Partition((2, 1)), 3, 2, 9, mode="modular", seed=42, points=6
-    )
-    b = verify_against_oracle(
-        Partition((2, 1)), 3, 2, 9, mode="modular", seed=42, points=6
-    )
+    a = verify_against_oracle(Partition((2, 1)), 3, 2, 9, mode="modular", seed=42)
+    b = verify_against_oracle(Partition((2, 1)), 3, 2, 9, mode="modular", seed=42)
     assert a.ok and a == b
-    assert a.seed == 42 and a.points == 6
+    assert a.seed == 42 and a.points == 20
 
 
 def test_verify_rejects_bad_arguments():
@@ -246,10 +242,28 @@ def test_verify_rejects_bad_arguments():
         verify_against_oracle(Partition(), 1, 1, 1, mode="nonsense")
 
 
-@pytest.mark.parametrize("points", [0, -1])
-def test_verify_modular_needs_a_point(points):
-    with pytest.raises(ValueError, match=f"need at least one point, got {points}"):
-        verify_against_oracle(Partition(), 1, 2, 3, mode="modular", points=points)
+def _no_strip_search(mu, r, m):
+    raise RuntimeError("the strip search ran before the argument checks")
+
+
+@pytest.mark.parametrize(
+    "args, mode, error, message",
+    [
+        ((Partition(), 400, 2, 800), "symbolic", GuardError,
+         "800-variable alternant is past the guard (8)"),
+        ((Partition(), 1, 1, 1), "nonsense", ValueError, "unknown mode 'nonsense'"),
+        # The bound comes before the mode name.
+        ((Partition((2,)), 2, 2, 5), "nonsense", ValueError,
+         "need at least |mu| + r*m = 6 variables, got 5"),
+    ],
+    ids=["guard", "mode", "bound"],
+)
+def test_verify_checks_arguments_before_the_strip_search(
+    monkeypatch, args, mode, error, message
+):
+    monkeypatch.setattr(expansion, "pmn_expand", _no_strip_search)
+    with pytest.raises(error, match=re.escape(message)):
+        verify_against_oracle(*args, mode=mode)
 
 
 @pytest.mark.parametrize("verify", [verify_against_oracle, verify_process_identity])
@@ -280,12 +294,10 @@ def test_verify_modular_builds_one_table_per_point(monkeypatch):
         return value
 
     monkeypatch.setattr(expansion, "_alternants_at", counting)
-    report = verify_against_oracle(
-        Partition((2, 1)), 3, 2, 9, mode="modular", seed=42, points=6
-    )
+    report = verify_against_oracle(Partition((2, 1)), 3, 2, 9, mode="modular", seed=42)
     assert report.ok
-    assert len(tables) == len(set(tables)) == 6
-    assert len(values) == 6 * (report.terms + 1)
+    assert len(tables) == len(set(tables)) == 20
+    assert len(values) == 20 * (report.terms + 1)
 
 
 def test_verify_process_reads_each_labelling_once(monkeypatch):
@@ -345,7 +357,7 @@ def test_verify_modular_reaches_24_variables():
 )
 def test_verify_modular_random_cases(mu, r, m):
     n = mu.size + r * m
-    report = verify_against_oracle(mu, r, m, n, mode="modular", seed=7, points=3)
+    report = verify_against_oracle(mu, r, m, n, mode="modular", seed=7)
     assert report.ok, report.detail
 
 
@@ -412,9 +424,7 @@ def test_exact_route_past_the_guard_agrees_with_modular(monkeypatch):
             monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
         for mu, r, m, n in cases:
             for mode in ("symbolic", "modular"):
-                report = verify_against_oracle(
-                    mu, r, m, n, mode=mode, points=3, max_vars=24
-                )
+                report = verify_against_oracle(mu, r, m, n, mode=mode, max_vars=24)
                 assert report.ok != flipped, (mode, report)
 
 
@@ -457,9 +467,9 @@ def test_symbolic_guard_trips_before_building_h_m():
 
 def test_verify_modular_reports_first_mismatching_point(monkeypatch):
     monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
-    report = verify_against_oracle(Partition(), 2, 2, 4, mode="modular", points=5)
+    report = verify_against_oracle(Partition(), 2, 2, 4, mode="modular")
     assert not report.ok
-    assert (report.terms, report.seed, report.points) == (3, 0, 5)
+    assert (report.terms, report.seed, report.points) == (3, 0, 20)
     assert report.detail == (
         "mismatch at point 0: lhs 350141721 != rhs 1383076305 (mod 2147483647)"
     )

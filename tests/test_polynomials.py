@@ -19,7 +19,6 @@ from oracles import (
 )
 from plethax import (
     DEFAULT_PRIME,
-    EvalPoint,
     Partition,
     SchurExpansion,
     SparsePolynomial,
@@ -191,13 +190,10 @@ def test_schur_21_from_alternant_ratio():
 
 
 def test_eval_point_validation():
-    with pytest.raises(ValueError):
-        EvalPoint((-1,))
-    with pytest.raises(ValueError):
-        EvalPoint((DEFAULT_PRIME,))
-    pt = EvalPoint((5, 7))
-    assert pt.values == (5, 7)
-    assert pt.prime == DEFAULT_PRIME
+    for values in ((-1,), (DEFAULT_PRIME,)):
+        with pytest.raises(ValueError, match=re.escape("coordinates must lie in [0, prime)")):
+            a_beta_eval((0,), values)
+    assert a_beta_eval((1, 0), (5, 7)) == 5 - 7 + DEFAULT_PRIME
 
 
 @pytest.mark.parametrize(
@@ -205,8 +201,8 @@ def test_eval_point_validation():
     [
         lambda: SchurExpansion({Partition((1,)): 1.5}),
         lambda: a_beta((1.5, 0)),
-        lambda: EvalPoint((1.5, 2)),
-        lambda: a_beta_eval((1.5, 0), EvalPoint((3, 5))),
+        lambda: a_beta_eval((1, 0), (1.5, 2)),
+        lambda: a_beta_eval((1.5, 0), (3, 5)),
         lambda: h_eval((1.5, 2), 2),
     ],
     ids=["schur-coefficient", "a_beta", "eval-point", "a_beta_eval", "h_eval"],
@@ -221,19 +217,17 @@ def test_seeded_points_are_deterministic():
     b = seeded_points(3, 4, seed=11)
     assert a == b
     assert seeded_points(3, 4, seed=12) != a
-    assert all(len(pt.values) == 3 for pt in a)
+    assert all(len(pt) == 3 for pt in a)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
 def test_seeded_points_equal_checked_points(seed):
-    """seeded_points skips the constructor's checks; its points are the
-    ones the checking constructor builds from the same coordinates."""
+    """seeded_points returns the coordinate tuples a_beta_eval checks for:
+    n ints in [0, DEFAULT_PRIME) each."""
     for n in range(15):
         for point in seeded_points(n, 5, seed):
-            checked = EvalPoint(point.values)
-            assert point == checked and hash(point) == hash(checked)
-            assert type(point.values) is tuple and len(point.values) == n
-            assert all(type(v) is int for v in point.values)
+            assert type(point) is tuple and len(point) == n
+            assert all(type(v) is int and 0 <= v < DEFAULT_PRIME for v in point)
 
 
 @given(st.integers(2, 5), st.integers(0, 10**6), st.data())
@@ -268,7 +262,7 @@ def alternant_case_st(draw):
             values[i] = values[j]
     if n and degenerate == "zero":
         values[draw(st.integers(0, n - 1))] = 0
-    return tuple(beta), EvalPoint(tuple(values))
+    return tuple(beta), tuple(values)
 
 
 @given(alternant_case_st())
@@ -353,12 +347,12 @@ def shapes_at_point_st(draw, n_vars):
     values = draw(
         st.lists(st.integers(1, 2**31 - 2), min_size=n, max_size=n, unique=True)
     )
-    return shapes, EvalPoint(tuple(values))
+    return shapes, tuple(values)
 
 
 def assert_alternants_at_match_elimination(shapes, point):
     # One alternant serves every shape, as the modular verifier uses it.
-    n = len(point.values)
+    n = len(point)
     alternant = polynomials._alternants_at(point)
     for lam in shapes:
         assert alternant(lam) == eliminated_alternant_eval(shifted_beta(lam, n), point)
@@ -381,7 +375,7 @@ def test_a_beta_eval_rejects_bad_exponents():
         a_beta_eval((1, 0), point)
     with pytest.raises(ValueError, match="exponents must be nonnegative"):
         a_beta_eval((2, -1, 0), point)
-    assert a_beta_eval((), EvalPoint(())) == 1
+    assert a_beta_eval((), ()) == 1
 
 
 @given(
@@ -395,12 +389,12 @@ def test_h_eval_matches_expansion(n, m, seed, shifts):
     multiple of it, to a negative value or to one of at least the prime,
     changes nothing."""
     point = seeded_points(n, 1, seed)[0]
-    shifted = [v + k * DEFAULT_PRIME for v, k in zip(point.values, shifts)]
+    shifted = [v + k * DEFAULT_PRIME for v, k in zip(point, shifts)]
     if m == 0:
-        assert h_eval(point.values, 0) == h_eval(shifted, 0) == 1
+        assert h_eval(point, 0) == h_eval(shifted, 0) == 1
     else:
         expected = evaluate(h_poly(m, n), point)
-        assert h_eval(point.values, m) == h_eval(shifted, m) == expected
+        assert h_eval(point, m) == h_eval(shifted, m) == expected
 
 
 def test_staircase_and_shifted_beta():
@@ -412,7 +406,7 @@ def test_staircase_and_shifted_beta():
 
 def test_evaluate_rejects_wrong_arity():
     with pytest.raises(ValueError):
-        evaluate(h_poly(2, 3), EvalPoint((1, 2)))
+        evaluate(h_poly(2, 3), (1, 2))
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -37,6 +37,9 @@ space that is renamed away fails the import.  The requests are:
   of the same size that contains mu but is outside the support, and for
   r > 1 the outer that lengthens mu's first row by r*m - 1 cells, a size
   that is not a multiple of r;
+- `sgn`, plain and json, with outer and inner both equal to mu, for each
+  (mu, r) of those single expansions: a skew with no cells, whose chain is
+  empty;
 - `sgn`, plain and json, with inner (62,3) on each of the 21 outers of
   `WIDE_SGN`'s support (mu = (62,3), r = 5, m = 2), sent with `--r` 5, 2
   and 10, which all divide the size 10, so chains and skews with none
@@ -188,6 +191,7 @@ def requests():
         if r > 1:
             first = mu[0] if mu else 0
             outers.append(((first + r * m - 1,) + mu[1:], mu, r))
+    outers += [(mu, mu, r) for mu, r in dict.fromkeys((mu, r) for mu, r, _ in singles)]
     mu, r, m = WIDE_SGN
     outers += [
         (outer, mu, strip)
@@ -273,8 +277,12 @@ def main(old_root, new_root):
             key += f" {perturbation}" * bool(perturbation)
             key += f" exit {b[0]}" * bool(b[0])
         elif kind == "sgn":
-            key += " wide" * (argv[argv.index("--inner") + 1] == text(WIDE_SGN[0]))
-            key += " no chain" if b[1] == "0\n" or '"chain": null' in b[1] else " chain"
+            outer, inner = argv[argv.index("--outer") + 1], argv[argv.index("--inner") + 1]
+            key += " wide" * (inner == text(WIDE_SGN[0]))
+            if outer == inner:
+                key += " empty chain"
+            else:
+                key += " no chain" if b[1] == "0\n" or '"chain": null' in b[1] else " chain"
         counts[key] = counts.get(key, 0) + 1
         if a != b:
             mismatches += 1
