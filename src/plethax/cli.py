@@ -234,14 +234,14 @@ def _cmd_trace(args) -> int:
             }
             result["epsilon"] = {
                 "abacus": partner[0].render_pairs(),
-                "beta": list(partner[1].entries),
+                "beta": list(partner[1]),
             }
         print(
             _record(
                 "trace",
                 {
                     "abacus": w.render_pairs(),
-                    "beta": list(beta.entries),
+                    "beta": list(beta),
                     "r": args.r,
                 },
                 result,

@@ -273,7 +273,7 @@ def verify_process_identity(
     largest position, its sign and its positions sorted down are kept by
     slots, for the labellings of mu (partners among them) and the completed
     images, at most n_beads! * (1 + support size) of them.  Each budget is
-    read once per call too, keyed by its entries.
+    read once per call too, keyed by itself.
 
     A weight, the exponent tuple whose entry l-1 is the slot of bead l plus
     r times its budget entry, is packed into one int whose base-b digit l-1
@@ -286,8 +286,8 @@ def verify_process_identity(
     times the largest entry of beta is below b, so that no digit carries;
     otherwise its tuple is built, and packed when it fits.  The involution
     is keyed the same way, by code(u) + b**n_beads * code(r * beta), which
-    tells distinct (slots, entries) apart where no digit carries, and by
-    the tuple (slots, entries) elsewhere.
+    tells distinct (slots, beta) apart where no digit carries, and by the
+    tuple (slots, beta) elsewhere.
 
     The support shapes are keyed by their bead positions on n_beads beads,
     and a completed image by its positions reading sorted down, so no shape
@@ -301,10 +301,15 @@ def verify_process_identity(
     Support shapes with more rows than beads cannot occur as images (a shape
     on n_beads beads has at most n_beads rows) and contribute nothing in
     n_beads variables, so they are left out of the bijection targets.
+
+    Every check on the arguments runs before the strip search: r and m, the
+    bead count, then, at the enumerate_pairs call, the pair guard, the
+    labelling guard and whether mu fits on n_beads beads.
     """
     _check_factor(r, m)
     if n_beads < 1:
         raise ValueError(f"need at least one bead, got {n_beads}")
+    pairs = enumerate_pairs(mu, n_beads, r, m)
     expansion = pmn_expand(mu, r, m)
     sign_of = {
         lam: c for lam, c in expansion.items() if len(lam) <= n_beads
@@ -342,22 +347,22 @@ def verify_process_identity(
 
         # (code of r * beta, that code moved to the key's upper digits, r
         # times the largest entry, or 0, 0, base when r * beta does not
-        # pack) by budget entries.
-        budgets: dict[tuple[int, ...], tuple] = {}
+        # pack) by budget.
+        budgets: dict[Composition, tuple] = {}
 
-        def budget(entries):
-            shift = pack(tuple([r * e for e in entries]))
+        def budget(beta):
+            shift = pack(tuple([r * e for e in beta]))
             if isinstance(shift, tuple):
-                row = budgets[entries] = (0, 0, base)
+                row = budgets[beta] = (0, 0, base)
             else:
-                row = budgets[entries] = (shift, shift * high, r * max(entries))
+                row = budgets[beta] = (shift, shift * high, r * max(beta))
             return row
 
-        def unpacked(u, entries):
-            """Weight key and involution key of (u, entries) when a digit
-            of their packed sum could carry."""
-            weight = pack(tuple([p + r * e for p, e in zip(u.positions(), entries)]))
-            return weight, (u.slots, entries)
+        def unpacked(u, beta):
+            """Weight key and involution key of (u, beta) when a digit of
+            their packed sum could carry."""
+            weight = pack(tuple([p + r * e for p, e in zip(u.positions(), beta)]))
+            return weight, (u.slots, beta)
 
         # (shape, chain sign, image slots) by the bead positions of the
         # shape, for the support shapes, in expansion order; an image of a
@@ -375,17 +380,16 @@ def verify_process_identity(
         open_pairs: dict[int | tuple, int | tuple] = {}
         w_read = None
         # Each pair is counted as aborted or completed before it is checked.
-        for w, beta, trace in enumerate_pairs(mu, n_beads, r, m):
+        for w, beta, trace in pairs:
             # enumerate_pairs yields each labelling for all budgets in a row.
             if w is not w_read:
                 w_read = w
                 code, top, sign, _ = readings.get(w.slots) or read(w)
-            entries = beta.entries
-            shift, shift_key, reach = budgets.get(entries) or budget(entries)
+            shift, shift_key, reach = budgets.get(beta) or budget(beta)
             if top + reach < base:
                 weight, key = code + shift, code + shift_key
             else:
-                weight, key = unpacked(w, entries)
+                weight, key = unpacked(w, beta)
             outcome = trace.outcome
             if isinstance(outcome, Successful):
                 n_completed += 1
@@ -416,14 +420,13 @@ def verify_process_identity(
                 code2, top2, sign2, _ = readings.get(w2.slots) or read(w2)
                 if sign2 != -sign:
                     return "partner does not reverse sign"
-                if beta2.__class__ is not Composition or len(beta2.entries) != w2.n_beads:
+                if beta2.__class__ is not Composition or len(beta2) != w2.n_beads:
                     beta2 = _composition(beta2, w2.n_beads)
-                entries2 = beta2.entries
-                shift2, shift_key2, reach2 = budgets.get(entries2) or budget(entries2)
+                shift2, shift_key2, reach2 = budgets.get(beta2) or budget(beta2)
                 if top2 + reach2 < base:
                     weight2, partner = code2 + shift2, code2 + shift_key2
                 else:
-                    weight2, partner = unpacked(w2, entries2)
+                    weight2, partner = unpacked(w2, beta2)
                 if weight2 != weight:
                     return "partner changes the weight"
                 if partner not in open_pairs:

@@ -13,7 +13,6 @@ labelled abaci of the grown shapes via `psi`.  Together these two maps are
 the engine behind the expansion module.
 """
 
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -22,51 +21,42 @@ from .partitions import Partition, SkewPartition, r_decompose
 from .polynomials import _check_budget, _integer, compositions
 
 
-@dataclass(frozen=True, slots=True)
-class Composition:
-    """Fixed-length tuple of nonnegative move counts, indexed by bead label."""
+class Composition(tuple):
+    """Fixed-length tuple of nonnegative move counts, indexed by bead label.
+    It compares and hashes as the plain tuple `entries` returns."""
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(_integer, self.entries)))
-        if any(e < 0 for e in self.entries):
-            raise ValueError(f"move counts must be nonnegative: {self.entries}")
+    def __new__(cls, entries):
+        entries = tuple(map(_integer, entries))
+        if any(e < 0 for e in entries):
+            raise ValueError(f"move counts must be nonnegative: {entries}")
+        return tuple.__new__(cls, entries)
 
-    @classmethod
-    def _unchecked(cls, entries: tuple[int, ...]) -> "Composition":
-        """Wrap a tuple of nonnegative ints as is."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "entries", entries)
-        return out
+    entries = property(tuple)
 
     @property
     def total(self) -> int:
-        return sum(self.entries)
+        return sum(self)
 
     def entry(self, bead: int) -> int:
         """Move count of the bead with the given 1-based label."""
-        if not 1 <= bead <= len(self.entries):
+        if not 1 <= bead <= len(self):
             raise ValueError(f"no entry for bead {bead}")
-        return self.entries[bead - 1]
+        return self[bead - 1]
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+    def __repr__(self):
+        return f"Composition(entries={tuple(self)!r})"
 
     def __str__(self):
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
+        return "(" + ",".join(str(e) for e in self) + ")"
 
 
 def _composition(beta, n_beads: int) -> Composition:
     """Coerce a budget and check it has one entry per bead."""
-    beta = beta if isinstance(beta, Composition) else Composition(tuple(beta))
-    if len(beta.entries) != n_beads:
-        raise ValueError(
-            f"budget has {len(beta.entries)} entries for {n_beads} beads"
-        )
+    beta = beta if isinstance(beta, Composition) else Composition(beta)
+    if len(beta) != n_beads:
+        raise ValueError(f"budget has {len(beta)} entries for {n_beads} beads")
     return beta
 
 
@@ -97,12 +87,11 @@ class Unsuccessful(NamedTuple):
 
 
 # A NamedTuple's own constructor is a Python function around tuple.__new__,
-# and LabelledAbacus._unchecked and Composition._unchecked are calls too.
-# run_process and _partner run once per pair of a sweep, so they build the
-# same objects as those would, without the call.
+# Composition's own one checks every entry, and LabelledAbacus._unchecked is
+# a call too.  run_process, _partner and enumerate_pairs run once per pair or
+# per sweep, so they build the same objects as those would, without the call.
 _new = tuple.__new__
 _object = object.__new__
-_set_entries = Composition.entries.__set__
 
 
 class ProcessTrace(NamedTuple):
@@ -135,12 +124,12 @@ def run_process(w: LabelledAbacus, beta, r: int, record_steps: bool = True):
     left empty (the outcome and the move bookkeeping are unchanged), which
     the bulk sweeps rely on.
     """
-    if beta.__class__ is not Composition or len(beta.entries) != w.n_beads:
+    if beta.__class__ is not Composition or len(beta) != w.n_beads:
         beta = _composition(beta, w.n_beads)
     if r < 1:
         raise ValueError(f"shift distance must be positive, got {r}")
 
-    alpha = list(beta.entries)
+    alpha = list(beta)
     remaining = sum(alpha)
     if remaining == 0:
         return _new(ProcessTrace, (w, beta, r, (), _new(Successful, (w,))))
@@ -227,7 +216,7 @@ def _partner(w: LabelledAbacus, beta: Composition, r: int, outcome: Unsuccessful
     at_bead = slots.index(bead)
     at_blocker = slots.index(blocker)
     delta, rest = divmod(at_blocker - at_bead, r)
-    entries = list(beta.entries)
+    entries = list(beta)
     entries[bead - 1] -= delta
     entries[blocker - 1] += delta
     if delta <= 0 or rest or entries[bead - 1] < 0:
@@ -237,9 +226,7 @@ def _partner(w: LabelledAbacus, beta: Composition, r: int, outcome: Unsuccessful
     partner = _object(LabelledAbacus)
     partner.slots = tuple(slots)
     partner.n_beads = w.n_beads
-    budget = _object(Composition)
-    _set_entries(budget, tuple(entries))
-    return partner, budget
+    return partner, _new(Composition, entries)
 
 
 def psi(w: LabelledAbacus, beta, r: int) -> LabelledAbacus:
@@ -261,7 +248,7 @@ def enumerate_pairs(mu: Partition, n_beads: int, r: int, m: int):
     GuardError before any pair is run.
     """
     _check_budget(factorial(n_beads) * comb(m + n_beads - 1, n_beads - 1), "pairs")
-    budgets = [Composition._unchecked(entries) for entries in compositions(m, n_beads)]
+    budgets = [_new(Composition, entries) for entries in compositions(m, n_beads)]
     return (
         (w, beta, run_process(w, beta, r, record_steps=False))
         for w in all_abaci(mu, n_beads)
@@ -307,4 +294,4 @@ def weight_with_budget(w: LabelledAbacus, beta, r: int) -> tuple[int, ...]:
     times x^(r * beta), so entry l-1 is the slot of bead l plus r times its
     budget entry."""
     beta = _composition(beta, w.n_beads)
-    return tuple(p + r * e for p, e in zip(w.positions(), beta.entries))
+    return tuple(p + r * e for p, e in zip(w.positions(), beta))

@@ -86,6 +86,7 @@ def test_golden_readings(abacus_533221):
     assert w.support() == (10, 7, 6, 4, 3, 1)
     assert w.weight() == (6, 3, 10, 1, 4, 7)
     assert w.render() == ".4.25.16..3"
+    assert str(LabelledAbacus((1, 0, 2))) == "1.2"
     assert w.render_pairs() == "1:4,3:2,4:5,6:1,7:6,10:3"
     assert w.position(3) == 10
     assert w.slot(6) == 1

@@ -69,6 +69,9 @@ def test_pmn_expand_goldens():
     assert pmn_expand(Partition(), 2, 2) == SchurExpansion(
         {Partition((4,)): 1, Partition((3, 1)): -1, Partition((2, 2)): 1}
     )
+    assert repr(pmn_expand(Partition(), 2, 2)) == (
+        "SchurExpansion({(4): 1, (3,1): -1, (2,2): 1})"
+    )
     assert pmn_expand(Partition((1,)), 1, 1) == SchurExpansion(
         {Partition((2,)): 1, Partition((1, 1)): 1}
     )
@@ -264,6 +267,23 @@ def test_verify_checks_arguments_before_the_strip_search(
     monkeypatch.setattr(expansion, "pmn_expand", _no_strip_search)
     with pytest.raises(error, match=re.escape(message)):
         verify_against_oracle(*args, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((Partition(), 400, 2, 30), GuardError,
+         "123342579812668842265883443200000000 pairs exceeds the enumeration budget"),
+        ((Partition((2, 1)), 1, 1, 1), ValueError, "(2,1) needs at least 2 beads, got 1"),
+    ],
+    ids=["pairs-guard", "bead-count"],
+)
+def test_verify_process_checks_arguments_before_the_strip_search(
+    monkeypatch, args, error, message
+):
+    monkeypatch.setattr(expansion, "pmn_expand", _no_strip_search)
+    with pytest.raises(error, match=re.escape(message)):
+        verify_process_identity(*args)
 
 
 @pytest.mark.parametrize("verify", [verify_against_oracle, verify_process_identity])

@@ -118,6 +118,14 @@ def test_skew_requires_containment():
         SkewPartition(Partition((2, 2)), Partition((3,)))
 
 
+def test_skew_repr_str_and_equality():
+    skew = SkewPartition(Partition((3, 1)), Partition((1,)))
+    assert repr(skew) == "SkewPartition(Partition((3, 1)), Partition((1,)))"
+    assert str(skew) == "(3,1)/(1)"
+    same = SkewPartition(Partition([3, 1]), Partition([1]))
+    assert skew == same and hash(skew) == hash(same)
+
+
 def test_top_bottom():
     big = SkewPartition(Partition((8, 6, 6, 5, 5, 1)), Partition((5, 5, 5, 5, 5, 1)))
     assert (skew_top(big), skew_bottom(big)) == (1, 3)

@@ -19,17 +19,21 @@ from oracles import (
 )
 from plethax import (
     DEFAULT_PRIME,
+    LabelledAbacus,
     Partition,
     SchurExpansion,
+    SkewPartition,
     SparsePolynomial,
     a_beta,
     a_beta_eval,
     compositions,
+    enumerate_supersets,
     h_eval,
     h_poly,
     partitions_of,
     plethysm_pr,
     polynomials,
+    r_decompose,
     seeded_points,
     shifted_beta,
 )
@@ -209,6 +213,34 @@ def test_eval_point_validation():
 )
 def test_entry_points_reject_non_integral_entries(call):
     with pytest.raises(ValueError, match=re.escape("expected an integer entry, got 1.5")):
+        call()
+
+
+_W = LabelledAbacus((1, 0, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: r_decompose(SkewPartition(Partition((2,)), Partition()), 0),
+         "strip size must be positive, got 0"),
+        (lambda: enumerate_supersets(Partition(), 0, 1), "strip size must be positive, got 0"),
+        (lambda: enumerate_supersets(Partition(), 1, -1), "strip count must be nonnegative, got -1"),
+        (lambda: h_eval((1, 2), -1), "degree must be nonnegative, got -1"),
+        (lambda: SparsePolynomial(-1), "n_vars must be nonnegative, got -1"),
+        (lambda: _W.slot(-1), "slot index must be nonnegative, got -1"),
+        (lambda: _W.position(4), "no bead labelled 4 (have 1..3)"),
+        (lambda: _W.r_move(1, 0), "shift distance must be positive, got 0"),
+        (lambda: _W.left_r_move(3, 1), "slot 2 is occupied by bead 2"),
+        (lambda: _W.swap(2, 2), "swap needs two distinct beads"),
+    ],
+    ids=[
+        "r_decompose-size", "supersets-size", "supersets-count", "h_eval-degree",
+        "n_vars", "slot", "position", "r_move", "left_r_move", "swap",
+    ],
+)
+def test_public_edge_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 

@@ -41,10 +41,23 @@ def test_composition_basics():
     assert beta.entry(2) == 2
     assert len(beta) == 6
     assert str(beta) == "(0,2,0,0,1,0)"
-    with pytest.raises(ValueError):
+    assert repr(Composition((0, 2, 0))) == "Composition(entries=(0, 2, 0))"
+    with pytest.raises(ValueError, match=re.escape("move counts must be nonnegative: (1, -1)")):
         Composition((1, -1))
     with pytest.raises(ValueError):
         beta.entry(7)
+
+
+def test_composition_is_the_tuple_of_its_entries():
+    """A budget unpacks, compares and hashes as its entries; `entries`
+    gives them back as a plain tuple."""
+    beta = Composition((0, 2))
+    assert isinstance(beta, tuple)
+    assert beta == (0, 2) and hash(beta) == hash((0, 2))
+    assert type(beta.entries) is tuple and beta.entries == (0, 2)
+    first, second = beta
+    assert (first, second) == (0, 2)
+    assert Composition(entries=[1, 0]) == Composition((1, 0))
 
 
 @pytest.mark.parametrize("entries, bad", [((1.5,), "1.5"), ((0, "2"), "'2'"), ((2.0, 1), "2.0")])

@@ -16,8 +16,10 @@ space that is renamed away fails the import.  The requests are:
 
 - `trace`, plain and json: 400 random abaci drawn as the `queries`
   workload draws them, 400 wider ones it never draws (5 to 7 beads, 0 to 6
-  moves, r 4 or 5), and every canonical abacus of a partition of at most 3
-  on 3 or 4 beads with every budget of total 1 or 2 and r 1..3;
+  moves, r 4 or 5), 200 on 10 to 12 beads (0 to 6 moves, r 1..5), whose
+  abaci render space-separated with two-digit labels and whose budgets
+  have ten entries or more, and every canonical abacus of a partition of
+  at most 3 on 3 or 4 beads with every budget of total 1 or 2 and r 1..3;
 - `verify`, plain and json: `--mode process` on `process_strata()` and at
   N=6 on every case with |mu| <= 2 and r, m <= 2; `--mode symbolic` on
   `symbolic_strata()` and on one case whose 9 variables trip the alternant
@@ -112,6 +114,8 @@ def requests():
     traces = [random_trace(rng) for _ in range(400)]
     wide = random.Random(1)
     traces += [random_trace(wide, beads=(5, 7), moves=(0, 6), shifts=(4, 5)) for _ in range(400)]
+    many = random.Random(2)
+    traces += [random_trace(many, beads=(10, 12), moves=(0, 6), shifts=(1, 5)) for _ in range(200)]
     traces += [
         ["trace", "--canonical", "--mu", text(mu), "--N", str(n), "--beta", text(beta), "--r", str(r)]
         for n in (3, 4)
@@ -261,6 +265,7 @@ def main(old_root, new_root):
         key = f"{kind} {argv[-1]}"
         if kind == "trace":
             key += " --canonical" * ("--canonical" in argv)
+            key += " 10+ beads" * (argv[1] == "--abacus" and argv[2].count(":") >= 10)
             key += " r 4-5" * (int(argv[argv.index("--r") + 1]) > 3)
             key += " aborted" if "unsuccessful" in b[1] else " completed"
         elif kind == "expand":
