@@ -326,7 +326,8 @@ def _cmd_verify(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommands' parsers by name."""
     parser = _Parser(
         prog="plethax",
         description="Schur expansions of s_mu * (p_r o h_m) with abacus-level checks",
@@ -374,13 +375,23 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
-    return parser
+    return parser, {"expand": p_expand, "sgn": p_sgn, "trace": p_trace, "verify": p_verify}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # An argv that opens with a subcommand is parsed by that subcommand's
+    # parser alone, which is what the top-level parser hands it to, with
+    # the same namespace, messages and help; anything else (no command, an
+    # unknown one, -h or an option before the command) takes the top level.
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         return args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from .polynomials import (
     DEFAULT_PRIME,
     _alternants_at,
     _integer,
+    _vandermonde,
     alternant_guard,
     h_eval,
     h_poly,
@@ -168,7 +169,12 @@ def verify_against_oracle(
     expansion would.  It is guarded at max_vars variables.
     mode 'modular' compares values at 20 seeded points, fixed by `seed`:
     one _alternants_at(values) per point, applied to the parts of mu and
-    of every shape, so no exponent vector is built or sorted.  Both sides
+    of every shape, so no exponent vector is built or sorted.  It gives
+    each alternant divided by the Vandermonde a_delta(values), the factor
+    both sides share, so det_mu * h_m(x^r) is compared with the sum of
+    c_lam * det_lam, and a_delta is computed only where those differ: the
+    point agrees when a_delta is 0 mod p, and otherwise the report names
+    both sides times a_delta, the full alternant values.  Both sides
     need n_vars at least |mu| + r*m so no shape in the sum is truncated.
     Every check on the arguments, the symbolic guard included, runs before
     the strip search.
@@ -212,20 +218,17 @@ def verify_against_oracle(
     else:
         p, points = DEFAULT_PRIME, 20
         for index, values in enumerate(seeded_points(n_vars, points, seed)):
-            alternant = _alternants_at(values)
-            lhs_val = (
-                alternant(mu.parts)
-                * h_eval([pow(v, r, p) for v in values], m)
-                % p
-            )
-            rhs_val = 0
-            for lam, c in expansion.coeffs.items():
-                rhs_val = (rhs_val + c * alternant(lam.parts)) % p
-            if lhs_val != rhs_val:
+            # Both sides carry the factor a_delta(values), so the
+            # determinants are compared.  As p is prime, the full sides
+            # differ exactly where these do and a_delta is nonzero.
+            jacobi_trudi = _alternants_at(values)
+            lhs = jacobi_trudi(mu.parts) * h_eval([pow(v, r, p) for v in values], m) % p
+            rhs = sum([c * jacobi_trudi(lam.parts) for lam, c in expansion.coeffs.items()]) % p
+            if lhs != rhs and (a_delta := _vandermonde(values)):
                 ok = False
                 detail = (
                     f"mismatch at point {index}: "
-                    f"lhs {lhs_val} != rhs {rhs_val} (mod {p})"
+                    f"lhs {a_delta * lhs % p} != rhs {a_delta * rhs % p} (mod {p})"
                 )
                 break
         else:

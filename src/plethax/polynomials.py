@@ -14,7 +14,10 @@ of coordinates in [0, DEFAULT_PRIME), modulo that one fixed prime; the
 modular verifier samples 20 seeded points and runs every check before the
 strip search.  There each alternant is the Vandermonde determinant times a
 Jacobi-Trudi determinant of at most min(rows, columns) of its shape, over
-e_k and h_k tables built once per point.
+e_k and h_k tables built once per point; determinants up to 3 x 3 are
+expanded in closed form, larger ones eliminated.  Since the Vandermonde is
+a common factor of every alternant at a point, the verifier compares the
+determinants and pays for the Vandermonde only where they differ.
 
 The package's size guards live here too, as this module imports nothing
 from the package; each raises GuardError naming its budget.
@@ -322,11 +325,21 @@ def seeded_points(n_vars: int, count: int, seed: int) -> list[tuple[int, ...]]:
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
-    """Determinant of a square matrix modulo p, by elimination in place.
+    """Determinant of a square matrix modulo p.
 
-    Entries left of the pivot column are never read again, so they are
-    not cleared; the last pivot eliminates nothing and needs no inverse."""
+    Sizes 0 to 3 are expanded along the first row and reduced once; larger
+    ones are eliminated in place.  Entries left of the pivot column are
+    never read again, so they are not cleared; the last pivot eliminates
+    nothing and needs no inverse."""
     n = len(rows)
+    if n <= 3:
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = rows
+            return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+        if n == 2:
+            (a, b), (c, d) = rows
+            return (a * d - b * c) % p
+        return rows[0][0] % p if n else 1
     det = 1
     for col in range(n):
         lead = rows[col][col]
@@ -350,14 +363,27 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
+def _vandermonde(values: tuple[int, ...]) -> int:
+    """a_delta(values) = prod_{i<j} (values_i - values_j) modulo
+    DEFAULT_PRIME; zero when a coordinate repeats."""
+    p = DEFAULT_PRIME
+    a_delta = 1
+    for i, v in enumerate(values):
+        a_delta = a_delta * prod([v - u for u in values[i + 1:]]) % p
+    return a_delta
+
+
 def _alternants_at(values: tuple[int, ...]):
-    """lam -> a_{lam+delta}(values) modulo DEFAULT_PRIME, for the parts lam
-    of a partition with at most one part per coordinate.
+    """lam -> s_lam(values) modulo DEFAULT_PRIME, the Jacobi-Trudi
+    determinant that a_delta(values) multiplies into a_{lam+delta}(values),
+    for the parts lam of a partition with at most one part per coordinate.
 
     a_{lam+delta} = a_delta * det(h_{lam_i-i+j}) = a_delta * det(e_{lam'_i-i+j})
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3.4-3.5), and
-    the smaller of the two determinants is taken.  The Vandermonde a_delta
-    and e_0..e_N are computed once per point; h_k grows by the recurrence
+    the smaller of the two determinants is taken; the Vandermonde a_delta
+    is left to the caller (_vandermonde), so that a caller comparing sums
+    of alternants at one point can compare the determinants.  e_0..e_N are
+    computed once per point; h_k grows by the recurrence
     h_k = sum_i (-1)^(i-1) e_i h_(k-i) as far as the widest shape asks.
     Both tables carry N zeros below index 0, and the e table N more past
     e_N, so every row of a determinant is one slice of its table.  The
@@ -366,9 +392,6 @@ def _alternants_at(values: tuple[int, ...]):
     """
     p = DEFAULT_PRIME
     n = len(values)
-    a_delta = 1
-    for i, v in enumerate(values):
-        a_delta = a_delta * prod([v - u for u in values[i + 1:]]) % p
     # e_k from the coefficients of prod (1 + v t).
     e = [1] + [0] * n
     for v in values:
@@ -378,7 +401,7 @@ def _alternants_at(values: tuple[int, ...]):
     h = [0] * n + [1]
     e = [0] * n + e + [0] * n
 
-    def alternant(lam) -> int:
+    def jacobi_trudi(lam) -> int:
         depth = len(lam)
         width = lam[0] if depth else 0
         if depth <= width:
@@ -398,9 +421,9 @@ def _alternants_at(values: tuple[int, ...]):
         rows = [
             table[n + parts[i] - i:n + parts[i] - i + size] for i in range(size)
         ]
-        return a_delta * _det_mod(rows, p) % p
+        return _det_mod(rows, p)
 
-    return alternant
+    return jacobi_trudi
 
 
 def a_beta_eval(beta, values) -> int:
@@ -409,7 +432,7 @@ def a_beta_eval(beta, values) -> int:
 
     Sorting beta into decreasing order costs the sign of the sort (a
     repeated entry gives 0) and leaves lam + delta; the alternant of that
-    shape comes from _alternants_at.
+    shape is _vandermonde times the determinant _alternants_at gives.
     """
     values = _integers(values)
     if any(not 0 <= v < DEFAULT_PRIME for v in values):
@@ -426,7 +449,8 @@ def a_beta_eval(beta, values) -> int:
         return 0
     while lam and lam[-1] == 0:
         lam.pop()
-    return permutation_sign(order) * _alternants_at(values)(lam) % DEFAULT_PRIME
+    alternant = _vandermonde(values) * _alternants_at(values)(lam)
+    return permutation_sign(order) * alternant % DEFAULT_PRIME
 
 
 def h_eval(values, m: int) -> int:

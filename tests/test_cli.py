@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -289,6 +290,90 @@ def test_usage_errors_exit_1(capsys, argv):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+# Per subcommand: a valid argv, an abbreviated option, an unknown option, a
+# missing required option, a bad choice and a non-integer --r.
+PARSE_CASES = {
+    "expand": [
+        ("--mu", "2,1", "--r", "2", "--m", "1"),
+        ("--mu", "1", "--rho", "2,1", "--nu", "1", "--form", "json"),
+        ("--mu", "1", "--r", "2", "--m", "1", "--bogus", "1"),
+        ("--r", "2", "--m", "1"),
+        ("--mu", "1", "--r", "2", "--m", "1", "--format", "xml"),
+        ("--mu", "1", "--r", "x", "--m", "1"),
+    ],
+    "sgn": [
+        ("--outer", "3,1", "--inner", "1", "--r", "1"),
+        ("--out", "3,1", "--inn", "1", "--r", "1", "--form", "json"),
+        ("--outer", "3,1", "--inner", "1", "--r", "1", "--bogus"),
+        ("--outer", "3,1", "--r", "1"),
+        ("--outer", "3,1", "--inner", "1", "--r", "1", "--format", "latex"),
+        ("--outer", "3,1", "--inner", "1", "--r", "x"),
+    ],
+    "trace": [
+        ("--abacus", "0:1,2:2", "--beta", "1,0", "--r", "1"),
+        ("--can", "--mu", "1", "--N", "2", "--be", "0,1", "--r", "1", "--form", "json"),
+        ("--abacus", "0:1", "--beta", "1", "--r", "1", "-x"),
+        ("--abacus", "0:1", "--beta", "1"),
+        ("--abacus", "0:1", "--beta", "1", "--r", "1", "--format", "xml"),
+        ("--abacus", "0:1", "--beta", "1", "--r", "x"),
+    ],
+    "verify": [
+        ("--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mode", "modular"),
+        ("--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mo", "process", "--form", "json"),
+        ("--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--points", "5"),
+        ("--mu", "1", "--r", "2", "--m", "1"),
+        ("--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mode", "exact"),
+        ("--mu", "1", "--r", "x", "--m", "1", "--N", "3"),
+    ],
+}
+
+
+def _parse_and_run(monkeypatch, capsys, argv, top_level):
+    """(namespaces parsed, exit code, stdout, stderr) of main(argv); with
+    top_level, main finds no subcommand parser and takes the top level."""
+    namespaces = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        namespaces.append(parse(self, *args, **kwargs))
+        return namespaces[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli._Parser, "parse_args", recording)
+        if top_level:
+            parser, _ = cli._build_parser()
+            patch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        code = main(list(argv))
+    captured = capsys.readouterr()
+    return namespaces, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(command,) + case for command, cases in PARSE_CASES.items() for case in cases]
+    + [(), ("bogus",), ("--format", "json", "sgn"), ("expand", "--mu", "1", "--", "x")],
+)
+def test_subcommand_parse_matches_the_top_level(monkeypatch, capsys, argv):
+    direct = _parse_and_run(monkeypatch, capsys, argv, top_level=False)
+    assert direct == _parse_and_run(monkeypatch, capsys, argv, top_level=True)
+    namespaces, code, out, err = direct
+    if namespaces:
+        assert namespaces[0].command == argv[0]
+    assert (code == 1) == bool(err)
+
+
+def test_subcommand_help_matches_the_top_level(monkeypatch, capsys):
+    helps = []
+    for top_level in (False, True):
+        with pytest.raises(SystemExit) as exc:
+            _parse_and_run(monkeypatch, capsys, ("expand", "-h"), top_level)
+        helps.append((exc.value.code, capsys.readouterr()))
+    assert helps[0] == helps[1]
+    code, captured = helps[0]
+    assert code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: plethax expand")
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
+    eliminated_alternant_eval,
     expand_iterated_by_single_factors,
     iterated_by_shapes,
     naive_alternant_product,
@@ -29,16 +30,18 @@ from plethax import (
     SparsePolynomial,
     Successful,
     a_beta,
+    h_eval,
     h_poly,
     partitions_of,
     pmn_expand,
     pmn_expand_iterated,
     plethysm_pr,
+    seeded_points,
     shifted_beta,
     verify_against_oracle,
     verify_process_identity,
 )
-from plethax.polynomials import GuardError
+from plethax.polynomials import DEFAULT_PRIME, GuardError
 
 
 def test_schur_expansion_drops_zeros_and_merges():
@@ -493,6 +496,39 @@ def test_verify_modular_reports_first_mismatching_point(monkeypatch):
     assert report.detail == (
         "mismatch at point 0: lhs 350141721 != rhs 1383076305 (mod 2147483647)"
     )
+
+
+def _repeat_first_coordinate(point):
+    return (point[0],) + point[:-1]
+
+
+@pytest.mark.parametrize("k", [None, 0, 1, 7, 19])
+def test_verify_modular_degenerate_points_agree(monkeypatch, k):
+    """A point that repeats a coordinate has a_delta = 0, so both sides are
+    0 there and it agrees even on a wrong expansion; the first point with
+    distinct coordinates reports its full alternant sums.  k is the number
+    of such points before that one (None: all 20 repeat a coordinate)."""
+    mu, r, m, n, p = Partition((1,)), 2, 2, 5, DEFAULT_PRIME
+    fresh = seeded_points(n, 20, 5)
+    points = [_repeat_first_coordinate(x) for x in seeded_points(n, 20, 6)]
+    if k is not None:
+        points[k] = fresh[k]
+    monkeypatch.setattr(expansion, "seeded_points", lambda n_vars, count, seed: points[:count])
+    monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
+    report = verify_against_oracle(mu, r, m, n, mode="modular")
+    if k is None:
+        assert report.ok and report.detail == "all 20 seeded points agree"
+        return
+    x = points[k]
+    lhs = eliminated_alternant_eval(shifted_beta(mu.parts, n), x) * h_eval(
+        [pow(v, r, p) for v in x], m
+    ) % p
+    rhs = sum(
+        c * eliminated_alternant_eval(shifted_beta(lam.parts, n), x)
+        for lam, c in expansion.pmn_expand(mu, r, m).items()
+    ) % p
+    assert lhs != rhs and not report.ok
+    assert report.detail == f"mismatch at point {k}: lhs {lhs} != rhs {rhs} (mod {p})"
 
 
 def test_verify_process_reports_broken_sign_law(monkeypatch):

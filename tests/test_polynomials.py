@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -359,6 +359,23 @@ def test_det_mod_matches_leibniz_on_zero_pivots(rows):
 
 
 @st.composite
+def dense_matrix_st(draw):
+    """A 0x0 to 6x6 matrix with entries anywhere in [0, DEFAULT_PRIME), so
+    the closed forms (sizes 0 to 3) and elimination (4 up) both see large
+    products."""
+    n = draw(st.integers(0, 6))
+    entry = st.integers(0, DEFAULT_PRIME - 1)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@example([])
+@given(dense_matrix_st())
+def test_det_mod_matches_leibniz_on_dense_matrices(rows):
+    expected = leibniz_det_mod(rows, DEFAULT_PRIME) if rows else 1
+    assert polynomials._det_mod([row[:] for row in rows], DEFAULT_PRIME) == expected
+
+
+@st.composite
 def shapes_at_point_st(draw, n_vars):
     """(shapes, point): up to four partitions of at most N parts, each in
     about half the cases no longer than its first part (the h side of
@@ -383,11 +400,14 @@ def shapes_at_point_st(draw, n_vars):
 
 
 def assert_alternants_at_match_elimination(shapes, point):
-    # One alternant serves every shape, as the modular verifier uses it.
+    # One table serves every shape, as the modular verifier uses it; the
+    # Vandermonde times each determinant is the full alternant.
     n = len(point)
-    alternant = polynomials._alternants_at(point)
+    jacobi_trudi = polynomials._alternants_at(point)
+    a_delta = polynomials._vandermonde(point)
     for lam in shapes:
-        assert alternant(lam) == eliminated_alternant_eval(shifted_beta(lam, n), point)
+        alternant = a_delta * jacobi_trudi(lam) % DEFAULT_PRIME
+        assert alternant == eliminated_alternant_eval(shifted_beta(lam, n), point)
 
 
 @given(shapes_at_point_st(st.integers(0, 14)))

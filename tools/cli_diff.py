@@ -46,6 +46,13 @@ space that is renamed away fails the import.  The requests are:
   `WIDE_SGN`'s support (mu = (62,3), r = 5, m = 2), sent with `--r` 5, 2
   and 10, which all divide the size 10, so chains and skews with none
   both come up; the peel's bead masks are 64 to 74 bits wide.
+- `usage`, plain and json (`--form` abbreviated, right after the first
+  word): `USAGE`, for each subcommand a valid argv with abbreviated
+  options, then an unknown option, a missing required option, an option
+  with no value, a bad choice and a non-integer `--r`, and argvs the
+  top-level parser takes: no command, an unknown command and an option
+  before the command.  `-h` is not sent, since its SystemExit would end
+  the server.
 
 Prints the number of requests per kind and every mismatch; exits 1 if any.
 """
@@ -70,6 +77,35 @@ WIDE_EXPANDS = [
     ["expand", "--mu", "12", "--rho", "9,8", "--nu", "3"],
 ]
 WIDE_SGN = ((62, 3), 5, 2)  # (mu, r, m)
+# Argument parsing, valid and not, on the subcommand and top-level routes.
+USAGE = [
+    ["expand", "--mu", "2,1", "--r=2", "--m", "1"],
+    ["expand", "--mu", "1", "--rh", "2,1", "--n", "1"],
+    ["expand", "--mu", "1", "--r", "2", "--m", "1", "--bogus", "1"],
+    ["expand", "--r", "2", "--m", "1"],
+    ["expand", "--mu"],
+    ["expand", "--mu", "1", "--r", "2", "--m", "1", "--format", "xml"],
+    ["expand", "--mu", "1", "--r", "x", "--m", "1"],
+    ["sgn", "--out", "3,1", "--inn", "1", "--r", "1"],
+    ["sgn", "--outer", "3,1", "--inner", "1", "--r", "1", "extra"],
+    ["sgn", "--outer", "3,1", "--r", "1"],
+    ["sgn", "--outer", "3,1", "--inner", "1", "--r", "1", "--format", "latex"],
+    ["sgn", "--outer", "3,1", "--inner", "1", "--r", "x"],
+    ["trace", "--can", "--mu", "1", "--N", "2", "--be", "0,1", "--r", "1"],
+    ["trace", "--abacus", "0:1", "--beta", "1", "--r", "1", "-x"],
+    ["trace", "--abacus", "0:1", "--beta", "1"],
+    ["trace", "--abacus", "0:1", "--beta", "1", "--r"],
+    ["trace", "--abacus", "0:1", "--beta", "1", "--r", "x"],
+    ["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mo", "modular", "--se", "4"],
+    ["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--points", "5"],
+    ["verify", "--mu", "1", "--r", "2", "--m", "1"],
+    ["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--mode", "exact"],
+    ["verify", "--mu", "1", "--r", "x", "--m", "1", "--N", "3"],
+    ["verify", "--mu", "1", "--r", "2", "--m", "1", "--N", "3", "--seed", "1.5"],
+    [],
+    ["bogus"],
+    ["-x", "sgn", "--outer", "3,1", "--inner", "1", "--r", "1"],
+]
 
 
 def compositions(total, length):
@@ -214,6 +250,7 @@ def requests():
     for fmt in ("plain", "json"):
         out += [("expand", None, argv + ["--format", fmt]) for argv in WIDE_EXPANDS]
         out += [("sgn", None, argv + ["--format", fmt]) for argv in sgns]
+        out += [("usage", None, argv[:1] + ["--form", fmt] + argv[1:]) for argv in USAGE]
     return out
 
 
@@ -288,6 +325,8 @@ def main(old_root, new_root):
                 key += " empty chain"
             else:
                 key += " no chain" if b[1] == "0\n" or '"chain": null' in b[1] else " chain"
+        elif kind == "usage":
+            key = f"usage {argv[argv.index('--form') + 1]}" + f" exit {b[0]}" * bool(b[0])
         counts[key] = counts.get(key, 0) + 1
         if a != b:
             mismatches += 1
