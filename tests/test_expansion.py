@@ -498,10 +498,6 @@ def test_verify_modular_reports_first_mismatching_point(monkeypatch):
     )
 
 
-def _repeat_first_coordinate(point):
-    return (point[0],) + point[:-1]
-
-
 @pytest.mark.parametrize("k", [None, 0, 1, 7, 19])
 def test_verify_modular_degenerate_points_agree(monkeypatch, k):
     """A point that repeats a coordinate has a_delta = 0, so both sides are
@@ -509,10 +505,9 @@ def test_verify_modular_degenerate_points_agree(monkeypatch, k):
     distinct coordinates reports its full alternant sums.  k is the number
     of such points before that one (None: all 20 repeat a coordinate)."""
     mu, r, m, n, p = Partition((1,)), 2, 2, 5, DEFAULT_PRIME
-    fresh = seeded_points(n, 20, 5)
-    points = [_repeat_first_coordinate(x) for x in seeded_points(n, 20, 6)]
+    points = [(x[0],) + x[:-1] for x in seeded_points(n, 20, 6)]
     if k is not None:
-        points[k] = fresh[k]
+        points[k] = seeded_points(n, 20, 5)[k]
     monkeypatch.setattr(expansion, "seeded_points", lambda n_vars, count, seed: points[:count])
     monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
     report = verify_against_oracle(mu, r, m, n, mode="modular")
