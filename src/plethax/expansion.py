@@ -113,19 +113,15 @@ def pmn_expand_iterated(mu: Partition, rho: Partition, nu: Partition) -> SchurEx
     and then m; any order gives the same expansion since the factors
     commute, and the small factors first keep the intermediate sums small.
     The fold runs on bead masks over len(mu) + |rho|*|nu| beads, enough
-    for every factor, and reads off shapes only for the result.
+    for every factor: each factor is one _add_strips call on the whole
+    signed sum of the last, and shapes are read off only for the result.
     """
     if len(rho) == 0 or len(nu) == 0:
         raise ValueError("both factor partitions must be non-empty")
     n = len(mu) + rho.size * nu.size
-    factors = sorted((r * m, r, m) for r in rho.parts for m in nu.parts)
     current = {_bead_mask(mu, n): 1}
-    for _, r, m in factors:
-        grown: dict[int, int] = {}
-        for mask, c in current.items():
-            for tau, s in _add_strips(mask, r, m):
-                grown[tau] = grown.get(tau, 0) + c * s
-        current = {mask: c for mask, c in grown.items() if c}
+    for _, r, m in sorted((r * m, r, m) for r in rho.parts for m in nu.parts):
+        current = _add_strips(current, r, m)
     return SchurExpansion._unchecked({_mask_shape(mask): c for mask, c in current.items()})
 
 

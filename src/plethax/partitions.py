@@ -232,8 +232,8 @@ def enumerate_supersets(mu: Partition, r: int, m: int) -> list[tuple[Partition, 
     with weakly decreasing tops, paired with the chain sign.
 
     Output is sorted in decreasing lexicographic order of lam.  Chain
-    uniqueness means a depth-first search over strip additions (each new top
-    at most the previous one) reaches every valid lam exactly once.
+    uniqueness means the strip search of _add_strips, started from mu's
+    mask alone, reaches every valid lam exactly once.
     """
     if r < 1:
         raise ValueError(f"strip size must be positive, got {r}")
@@ -241,7 +241,7 @@ def enumerate_supersets(mu: Partition, r: int, m: int) -> list[tuple[Partition, 
         raise ValueError(f"strip count must be nonnegative, got {m}")
     n = len(mu) + r * m
     # Masks on one bead count decrease exactly when their shapes do.
-    found = sorted(_add_strips(_bead_mask(mu, n), r, m), reverse=True)
+    found = sorted(_add_strips({_bead_mask(mu, n): 1}, r, m).items(), reverse=True)
     return [(_mask_shape(mask), sign) for mask, sign in found]
 
 
@@ -266,44 +266,44 @@ def _mask_shape(mask: int) -> Partition:
     return Partition._unchecked(tuple(parts))
 
 
-def _add_strips(mask: int, r: int, m: int) -> list[tuple[int, int]]:
-    """enumerate_supersets on a bead mask (see _bead_mask): the mask of every
-    shape m r-strips above the one of `mask`, with the chain sign, in the
-    order the search reaches them.  A later strip may land higher than an
-    earlier one, so that order is not sorted; enumerate_supersets sorts.
-
-    Every shape keeps the bead count of `mask`, which must be at least the
-    rows of the starting shape plus r*m, so no strip runs out of beads.
+def _add_strips(masks: dict[int, int], r: int, m: int) -> dict[int, int]:
+    """The strip search of enumerate_supersets on bead masks (see
+    _bead_mask), summed: each source's coefficient times the chain sign,
+    added up over the masks m r-strips above it, zero sums dropped, in the
+    search's order.  m == 0 returns the sources.  A shape keeps its source's
+    bead count, which must be at least its rows plus r*m.
 
     Each strip moves one bead r slots right, from slot p to the free slot
-    p + r, so the beads that can move are `mask & ~(mask >> r)`.  The strip's
-    top row is one more than the beads above p + r, and its sign is
-    (-1) ** (the beads on the r - 1 slots it jumps).  Going down from the
-    top bead, the beads above the landing slot only grow, so the search stops
-    at the first bead whose strip would top out below the previous strip's.
+    p + r, so the beads that can move are `mask & ~(mask >> r)`, and its
+    sign is (-1) ** (the beads on the r - 1 slots it jumps).  Its top row
+    is one more than the beads above p + r, so after it the moved bead is
+    the top-th from the top, and a next strip from slot q tops out no lower
+    exactly when q + r lies above p + r, that is q > p.  So a chain's beads
+    start on rising slots, and a stack holds each partial chain with the
+    slot its next bead must start above.
     """
     if m == 0:
-        return [(mask, 1)]
-    found: list[tuple[int, int]] = []
+        return dict(masks)
     gap = (1 << (r - 1)) - 1  # the r - 1 slots a strip jumps, shifted to slot 0
     move = 1 | 1 << r  # a strip's two changed slots, shifted to slot 0
-
-    def extend(mask: int, left: int, max_top: int, sign: int):
-        movable = mask & ~(mask >> r)
-        while movable:
-            p = movable.bit_length() - 1
-            movable ^= 1 << p
-            land = (mask >> p + r).bit_count()
-            if land >= max_top:
-                break
-            child = mask ^ move << p
-            child_sign = -sign if (mask >> p + 1 & gap).bit_count() & 1 else sign
-            if left == 1:
-                found.append((child, child_sign))
-            else:
-                extend(child, left - 1, land + 1, child_sign)
-
-    extend(mask, m, mask.bit_count(), 1)
-    if len({child for child, _ in found}) != len(found):
-        raise RuntimeError("two strip chains reached the same shape")
-    return found
+    out: dict[int, int] = {}
+    get = out.get
+    for source, c in masks.items():
+        leaves = set()
+        stack = [(source, m, 0, c)]
+        while stack:
+            mask, left, floor, sign = stack.pop()
+            movable = (mask & ~(mask >> r)) >> floor << floor
+            while movable:
+                p = movable.bit_length() - 1
+                movable ^= 1 << p
+                child = mask ^ move << p
+                sign_here = -sign if (mask >> p + 1 & gap).bit_count() & 1 else sign
+                if left > 1:
+                    stack.append((child, left - 1, p, sign_here))
+                elif child in leaves:
+                    raise RuntimeError("two strip chains reached the same shape")
+                else:
+                    leaves.add(child)
+                    out[child] = get(child, 0) + sign_here
+    return {mask: c for mask, c in out.items() if c}

@@ -4,7 +4,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -413,5 +413,37 @@ def test_add_strips_with_surplus_beads_matches_checked_shape_search(mu):
                 ]
                 start = mask(bead_positions(mu, n))
                 # The search order is its own; only enumerate_supersets sorts.
-                found = partitions._add_strips(start, r, m)
-                assert sorted(found, reverse=True) == expected
+                found = partitions._add_strips({start: 1}, r, m)
+                assert sorted(found.items(), reverse=True) == expected
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda k: st.dictionaries(
+            st.sampled_from(list(partitions_of(k))),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(0, 2),
+)
+@example({Partition((2,)): 1, Partition((1, 1)): -1}, 1, 1, 0)
+def test_add_strips_sums_many_sources_and_drops_zeros(sources, r, m, surplus):
+    # Sources of one size share children, so opposite coefficients cancel;
+    # the example's child (2,1) sums to 1 - 1 = 0 and must be dropped.
+    n = max(map(len, sources)) + r * m + surplus
+    masks = {_bead_mask(mu, n): c for mu, c in sources.items()}
+    expected: dict[int, int] = {}
+    for mu, c in sources.items():
+        for lam, sign in supersets_by_shapes(mu, r, m, n):
+            key = _bead_mask(lam, n)
+            expected[key] = expected.get(key, 0) + c * sign
+    expected = {mask: c for mask, c in expected.items() if c}
+    found = partitions._add_strips(masks, r, m)
+    assert found == expected
+    assert 0 not in found.values()
+    if m == 0:
+        assert found == masks
