@@ -298,12 +298,12 @@ def _add_strips(masks: dict[int, int], r: int, m: int) -> dict[int, int]:
                 p = movable.bit_length() - 1
                 movable ^= 1 << p
                 child = mask ^ move << p
-                sign_here = -sign if (mask >> p + 1 & gap).bit_count() & 1 else sign
+                child_sign = -sign if (mask >> p + 1 & gap).bit_count() & 1 else sign
                 if left > 1:
-                    stack.append((child, left - 1, p, sign_here))
+                    stack.append((child, left - 1, p, child_sign))
                 elif child in leaves:
                     raise RuntimeError("two strip chains reached the same shape")
                 else:
                     leaves.add(child)
-                    out[child] = get(child, 0) + sign_here
+                    out[child] = get(child, 0) + child_sign
     return {mask: c for mask, c in out.items() if c}
