@@ -77,11 +77,11 @@ def render_expansion(expansion: SchurExpansion, fmt: str) -> str:
     chunks = []
     for index, (lam, coeff) in enumerate(items):
         if fmt == "latex":
-            body = "s_{(" + ",".join(str(p) for p in lam.parts) + ")}"
+            body = "s_{(" + ",".join(str(p) for p in lam) + ")}"
             if abs(coeff) != 1:
                 body = f"{abs(coeff)}\\,{body}"
         else:
-            body = "s[" + ",".join(str(p) for p in lam.parts) + "]"
+            body = "s[" + ",".join(str(p) for p in lam) + "]"
             if abs(coeff) != 1:
                 body = f"{abs(coeff)}*{body}"
         if index == 0:
@@ -115,18 +115,14 @@ def _cmd_expand(args) -> int:
         if len(rho) == 0 or len(nu) == 0:
             raise UsageError("--rho and --nu must be non-empty partitions")
         expansion = pmn_expand_iterated(mu, rho, nu)
-        inputs = {
-            "mu": list(mu.parts),
-            "rho": list(rho.parts),
-            "nu": list(nu.parts),
-        }
+        inputs = {"mu": list(mu), "rho": list(rho), "nu": list(nu)}
     else:
         if args.r is None or args.m is None:
             raise UsageError("expand needs --r and --m (or --rho and --nu)")
         if args.r < 1 or args.m < 1:
             raise UsageError("--r and --m must be positive")
         expansion = pmn_expand(mu, args.r, args.m)
-        inputs = {"mu": list(mu.parts), "r": args.r, "m": args.m}
+        inputs = {"mu": list(mu), "r": args.r, "m": args.m}
     if args.format == "json":
         print(_record("expand", inputs, {"terms": expansion.to_records()}))
     else:
@@ -144,7 +140,7 @@ def _cmd_sgn(args) -> int:
         chain_record = None
         if chain is not None:
             chain_record = {
-                "shapes": [list(s.parts) for s in chain.shapes],
+                "shapes": [list(s) for s in chain.shapes],
                 "tops": list(chain.tops),
                 "bottoms": list(chain.bottoms),
                 "strip_signs": list(chain.strip_signs),
@@ -156,11 +152,7 @@ def _cmd_sgn(args) -> int:
         print(
             _record(
                 "sgn",
-                {
-                    "outer": list(outer.parts),
-                    "inner": list(inner.parts),
-                    "r": args.r,
-                },
+                {"outer": list(outer), "inner": list(inner), "r": args.r},
                 result,
             )
         )
@@ -222,7 +214,7 @@ def _cmd_trace(args) -> int:
         result = {
             "outcome": "successful" if trace.successful else "unsuccessful",
             "steps": steps,
-            "shapes": [list(s.parts) for s in trace.shapes()],
+            "shapes": [list(s) for s in trace.shapes()],
         }
         if trace.successful:
             result["final"] = trace.outcome.abacus.render_pairs()
@@ -285,7 +277,7 @@ def _cmd_verify(args) -> int:
     if args.n_beads < 1:
         raise UsageError("--N must be positive")
     inputs = {
-        "mu": list(mu.parts),
+        "mu": list(mu),
         "r": args.r,
         "m": args.m,
         "N": args.n_beads,
@@ -306,6 +298,8 @@ def _cmd_verify(args) -> int:
                 mu, args.r, args.m, args.n_beads, mode=args.mode, seed=args.seed
             )
         except GuardError as exc:
+            if args.mode == "modular":
+                raise
             raise UsageError(f"{exc.what}; use --mode modular for this N") from exc
         result = {"ok": report.ok, "terms": report.terms, "detail": report.detail}
         shown = {}

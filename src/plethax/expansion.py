@@ -25,6 +25,7 @@ from .partitions import (
 from .polynomials import (
     DEFAULT_PRIME,
     _alternants_at,
+    _check_budget,
     _integer,
     _vandermonde,
     alternant_guard,
@@ -78,7 +79,7 @@ class SchurExpansion:
 
     def items(self) -> list[tuple[Partition, int]]:
         """(partition, coefficient) pairs, partitions lexicographically decreasing."""
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].parts, reverse=True)
+        return sorted(self.coeffs.items(), reverse=True)
 
     def support(self) -> list[Partition]:
         return [lam for lam, _ in self.items()]
@@ -95,9 +96,7 @@ class SchurExpansion:
 
     def to_records(self) -> list[dict]:
         """JSON-ready term list in display order."""
-        return [
-            {"partition": list(lam.parts), "coeff": c} for lam, c in self.items()
-        ]
+        return [{"partition": list(lam), "coeff": c} for lam, c in self.items()]
 
 
 def pmn_expand(mu: Partition, r: int, m: int) -> SchurExpansion:
@@ -120,7 +119,7 @@ def pmn_expand_iterated(mu: Partition, rho: Partition, nu: Partition) -> SchurEx
         raise ValueError("both factor partitions must be non-empty")
     n = len(mu) + rho.size * nu.size
     current = {_bead_mask(mu, n): 1}
-    for _, r, m in sorted((r * m, r, m) for r in rho.parts for m in nu.parts):
+    for _, r, m in sorted((r * m, r, m) for r in rho for m in nu):
         current = _add_strips(current, r, m)
     return SchurExpansion._unchecked({_mask_shape(mask): c for mask, c in current.items()})
 
@@ -172,8 +171,10 @@ def verify_against_oracle(
     point agrees when a_delta is 0 mod p, and otherwise the report names
     both sides times a_delta, the full alternant values.  Both sides
     need n_vars at least |mu| + r*m so no shape in the sum is truncated.
-    Every check on the arguments, the symbolic guard included, runs before
-    the strip search.
+    The modular route is guarded at pair_budget() table entries, counted
+    as 20 * n_vars**2, since each point's e table takes about n_vars**2
+    steps.  Every check on the arguments, both guards included, runs
+    before the strip search.
     """
     _check_factor(r, m)
     bound = mu.size + r * m
@@ -185,19 +186,22 @@ def verify_against_oracle(
         # Trip the guard before the strip search and before h_m's
         # C(m+N-1, N-1) terms are built.
         alternant_guard(n_vars, max_vars)
-    elif mode != "modular":
+    elif mode == "modular":
+        # 20 points, each with its own e table
+        _check_budget(20 * n_vars**2, "modular table entries")
+    else:
         raise ValueError(f"unknown mode {mode!r}")
     expansion = pmn_expand(mu, r, m)
 
     if mode == "symbolic":
         lhs = straighten_product(
-            shifted_beta(mu.parts, n_vars),
+            shifted_beta(mu, n_vars),
             plethysm_pr(h_poly(m, n_vars), r),
             max_vars=max_vars,
         )
         diff = dict(lhs)
         for lam, c in expansion.items():
-            key = shifted_beta(lam.parts, n_vars)
+            key = shifted_beta(lam, n_vars)
             left = diff.pop(key, 0) - c
             if left:
                 diff[key] = left
@@ -218,8 +222,8 @@ def verify_against_oracle(
             # determinants are compared.  As p is prime, the full sides
             # differ exactly where these do and a_delta is nonzero.
             jacobi_trudi = _alternants_at(values)
-            lhs = jacobi_trudi(mu.parts) * h_eval([pow(v, r, p) for v in values], m) % p
-            rhs = sum([c * jacobi_trudi(lam.parts) for lam, c in expansion.coeffs.items()]) % p
+            lhs = jacobi_trudi(mu) * h_eval([pow(v, r, p) for v in values], m) % p
+            rhs = sum([c * jacobi_trudi(lam) for lam, c in expansion.coeffs.items()]) % p
             if lhs != rhs and (a_delta := _vandermonde(values)):
                 ok = False
                 detail = (

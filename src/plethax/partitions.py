@@ -17,67 +17,54 @@ from dataclasses import dataclass
 from .polynomials import _integer
 
 
-class Partition:
-    """A weakly decreasing sequence of positive integers.
+class Partition(tuple):
+    """A weakly decreasing sequence of positive integers: the tuple of its
+    parts, which it compares, hashes, indexes and sorts as.
 
     Trailing zeros are stripped on construction, so inputs differing only by
     attached zeros compare equal.  Increasing adjacent entries or negative
-    entries raise ValueError.
+    entries raise ValueError.  The checks run in __init__, so shapes known
+    to be valid are built unchecked with tuple.__new__(Partition, parts).
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         cleaned = [_integer(p) for p in parts]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
-        if any(p < 0 for p in cleaned):
-            raise ValueError(f"partition entries must be nonnegative: {cleaned}")
-        for a, b in zip(cleaned, cleaned[1:]):
+        return tuple.__new__(cls, cleaned)
+
+    def __init__(self, parts=()):
+        if any(p < 0 for p in self):
+            raise ValueError(f"partition entries must be nonnegative: {list(self)}")
+        for a, b in zip(self, self[1:]):
             if a < b:
                 raise ValueError(
                     f"partition entries must be weakly decreasing: {a} before {b}"
                 )
-        self.parts = tuple(cleaned)
 
-    @classmethod
-    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
-        """Wrap a weakly decreasing tuple of positive ints as is."""
-        out = cls.__new__(cls)
-        out.parts = parts
-        return out
+    parts = property(tuple)
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
+        return sum(self)
 
     def part(self, i: int) -> int:
         """Row length at 1-based row i; zero beyond the last row."""
         if i < 1:
             raise ValueError(f"row index must be >= 1, got {i}")
-        return self.parts[i - 1] if i <= len(self.parts) else 0
+        return self[i - 1] if i <= len(self) else 0
 
     def contains(self, other) -> bool:
         """Containment of Young diagrams, row by row."""
         return all(other.part(i) <= self.part(i) for i in range(1, len(other) + 1))
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
-        return f"Partition({self.parts!r})"
+        return f"Partition({tuple(self)!r})"
 
     def __str__(self):
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(str(p) for p in self) + ")"
 
 
 def partitions_of(n: int, max_length: int | None = None):
@@ -97,7 +84,7 @@ def partitions_of(n: int, max_length: int | None = None):
     # prefix is already weakly decreasing and positive.
     def rec(remaining, cap, rows_left, prefix):
         if remaining == 0:
-            yield Partition._unchecked(tuple(prefix))
+            yield tuple.__new__(Partition, prefix)
             return
         if rows_left == 0:
             return
@@ -263,7 +250,7 @@ def _mask_shape(mask: int) -> Partition:
         mask ^= 1 << p
         below -= 1
         parts.append(p - below)
-    return Partition._unchecked(tuple(parts))
+    return tuple.__new__(Partition, parts)
 
 
 def _add_strips(masks: dict[int, int], r: int, m: int) -> dict[int, int]:

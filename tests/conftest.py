@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -9,6 +11,32 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("package")
+
+# Each test's wall-time limit, in seconds.  The slowest test takes about 4 s,
+# so a test past this is stuck, as a strip search without its collision
+# filter is, and it fails by name instead of stalling the run.
+TEST_TIME_LIMIT = 30
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT.  Hypothesis shrinks on Exception,
+    SystemExit, GeneratorExit and pytest's Failed, and this is none of
+    them, so a stuck property test stops at once instead of shrinking."""
+
+
+def _time_out(signum, frame):
+    raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT} s")
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

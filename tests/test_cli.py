@@ -403,6 +403,21 @@ def test_subcommand_help_matches_the_top_level(monkeypatch, capsys):
         (("trace", "--abacus", "5:1", "--beta", "1", "--r", "999999999999"),
          "999999999999 scan slots exceeds the enumeration budget 10000000; "
          "set PLETHAX_BUDGET higher to proceed"),
+        # the modular route's e tables, guarded before the strip search
+        (("verify", "--mu", "", "--r", "1", "--m", "1", "--N", "20000", "--mode", "modular"),
+         "8000000000 modular table entries exceeds the enumeration budget 10000000; "
+         "set PLETHAX_BUDGET higher to proceed"),
+        (("verify", "--mu", "", "--r", "1", "--m", "1", "--N", "708", "--mode", "modular",
+          "--format", "json"),
+         "10025280 modular table entries exceeds the enumeration budget 10000000; "
+         "set PLETHAX_BUDGET higher to proceed"),
+        # shapes that fail Partition's checks
+        (("expand", "--mu", "1,2", "--r", "1", "--m", "1"),
+         "bad partition '1,2': partition entries must be weakly decreasing: 1 before 2"),
+        (("sgn", "--outer", "2,-1", "--inner", "1", "--r", "1"),
+         "bad partition '2,-1': partition entries must be nonnegative: [2, -1]"),
+        (("verify", "--mu", "2,0,1", "--r", "1", "--m", "1", "--N", "4"),
+         "bad partition '2,0,1': partition entries must be weakly decreasing: 0 before 1"),
     ],
 )
 def test_input_errors_print_the_library_message(capsys, argv, message):

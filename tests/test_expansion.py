@@ -261,8 +261,11 @@ def _no_strip_search(mu, r, m):
         # The bound comes before the mode name.
         ((Partition((2,)), 2, 2, 5), "nonsense", ValueError,
          "need at least |mu| + r*m = 6 variables, got 5"),
+        # 20 points of a 20000-variable e table each
+        ((Partition(), 1, 1, 20000), "modular", GuardError,
+         "8000000000 modular table entries exceeds the enumeration budget 10000000"),
     ],
-    ids=["guard", "mode", "bound"],
+    ids=["guard", "mode", "bound", "modular-guard"],
 )
 def test_verify_checks_arguments_before_the_strip_search(
     monkeypatch, args, mode, error, message

@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -71,6 +73,27 @@ def test_constructor_rejects_bad_input():
 def test_non_integral_entries_are_rejected(build, bad):
     with pytest.raises(ValueError, match=re.escape(f"expected an integer entry, got {bad}")):
         build()
+
+
+def test_partitions_are_checked_tuples(checked_partitions):
+    """A shape compares, hashes and indexes as the tuple of its parts, keeps
+    its repr and str, checks a generator input, and copies and pickles;
+    tuple.__new__ builds one without the checks."""
+    lam = Partition((2, 1))
+    assert lam == (2, 1) and hash(lam) == hash((2, 1))
+    assert type(lam.parts) is tuple and lam.parts == (2, 1)
+    assert (repr(lam), str(lam), f"{lam}") == ("Partition((2, 1))", "(2,1)", "(2,1)")
+    assert (lam[0], lam[-1], lam[1:]) == (2, 1, (1,))
+    assert sorted([Partition((1, 1)), Partition((2,))]) == [(1, 1), (2,)]
+    assert Partition(p for p in (3, 1, 0)) == (3, 1)
+    with pytest.raises(ValueError, match="weakly decreasing: 1 before 3"):
+        Partition(p for p in (1, 3))
+    assert checked_partitions == [(2, 1), (1, 1), (2,), (3, 1)]
+    unchecked = tuple.__new__(Partition, (4, 2))
+    copies = [copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))]
+    assert len(checked_partitions) == 4
+    assert type(unchecked) is Partition and unchecked.size == 6
+    assert copies == [lam] * 3 and {type(c) for c in copies} == {Partition}
 
 
 def test_part_accessor():

@@ -51,8 +51,10 @@ space that is renamed away fails the import.  The requests are:
   options, then an unknown option, a missing required option, an option
   with no value, a bad choice and a non-integer `--r`, and argvs the
   top-level parser takes: no command, an unknown command and an option
-  before the command.  `-h` is not sent, since its SystemExit would end
-  the server.
+  before the command, and for `--mu` of expand, trace --canonical and
+  verify and `--outer` and `--inner` of sgn, the shapes 1,2, 2,-1, 2,0,1
+  and 1.5, which fail Partition's checks or its integer parse.  `-h` is
+  not sent, since its SystemExit would end the server.
 
 Prints the number of requests per kind and every mismatch; exits 1 if any.
 """
@@ -105,6 +107,19 @@ USAGE = [
     [],
     ["bogus"],
     ["-x", "sgn", "--outer", "3,1", "--inner", "1", "--r", "1"],
+]
+# Shapes that fail Partition's checks, or its integer parse, on every
+# subcommand that parses one.
+USAGE += [
+    argv
+    for bad in ("1,2", "2,-1", "2,0,1", "1.5")
+    for argv in (
+        ["expand", "--mu", bad, "--r", "1", "--m", "1"],
+        ["sgn", "--outer", bad, "--inner", "", "--r", "1"],
+        ["sgn", "--outer", "3", "--inner", bad, "--r", "1"],
+        ["trace", "--canonical", "--mu", bad, "--N", "3", "--beta", "0,0,0", "--r", "1"],
+        ["verify", "--mu", bad, "--r", "1", "--m", "1", "--N", "4"],
+    )
 ]
 
 
