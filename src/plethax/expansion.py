@@ -163,18 +163,19 @@ def verify_against_oracle(
     and names the grevlex-first monomial of a difference, as a full
     expansion would.  It is guarded at max_vars variables.
     mode 'modular' compares values at 20 seeded points, fixed by `seed`:
-    one _alternants_at(values) per point, applied to the parts of mu and
-    of every shape, so no exponent vector is built or sorted.  It gives
-    each alternant divided by the Vandermonde a_delta(values), the factor
-    both sides share, so det_mu * h_m(x^r) is compared with the sum of
-    c_lam * det_lam, and a_delta is computed only where those differ: the
-    point agrees when a_delta is 0 mod p, and otherwise the report names
-    both sides times a_delta, the full alternant values.  Both sides
-    need n_vars at least |mu| + r*m so no shape in the sum is truncated.
-    The modular route is guarded at pair_budget() table entries, counted
-    as 20 * n_vars**2, since each point's e table takes about n_vars**2
-    steps.  Every check on the arguments, both guards included, runs
-    before the strip search.
+    one _alternants_at over all 20, applied to the parts of mu and of
+    every shape, gives each shape's 20 values at once, and no exponent
+    vector is built or sorted.  Each value is an alternant divided by the
+    Vandermonde a_delta(x), the factor both sides share, so the sums
+    c_lam * det_lam are taken over the lanes, and then the points are
+    walked in order: det_mu * h_m(x^r) is compared with the sum, and
+    a_delta is computed only where those differ.  The point agrees when
+    a_delta is 0 mod p, and otherwise the report names both sides times
+    a_delta, the full alternant values.  Both sides need n_vars at least
+    |mu| + r*m so no shape in the sum is truncated.  The modular route is
+    guarded at pair_budget() table entries, counted as 20 * n_vars**2,
+    since the e table takes about n_vars**2 steps per point.  Every check
+    on the arguments, both guards included, runs before the strip search.
     """
     _check_factor(r, m)
     bound = mu.size + r * m
@@ -187,7 +188,7 @@ def verify_against_oracle(
         # C(m+N-1, N-1) terms are built.
         alternant_guard(n_vars, max_vars)
     elif mode == "modular":
-        # 20 points, each with its own e table
+        # 20 points, one e table lane each
         _check_budget(20 * n_vars**2, "modular table entries")
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -217,13 +218,16 @@ def verify_against_oracle(
         seed, points = None, 0
     else:
         p, points = DEFAULT_PRIME, 20
-        for index, values in enumerate(seeded_points(n_vars, points, seed)):
+        xs = seeded_points(n_vars, points, seed)
+        jacobi_trudi = _alternants_at(xs)
+        sums = [0] * points
+        for lam, c in expansion.coeffs.items():
+            sums = [(s + c * det) % p for s, det in zip(sums, jacobi_trudi(lam))]
+        for index, (values, det_mu, rhs) in enumerate(zip(xs, jacobi_trudi(mu), sums)):
             # Both sides carry the factor a_delta(values), so the
             # determinants are compared.  As p is prime, the full sides
             # differ exactly where these do and a_delta is nonzero.
-            jacobi_trudi = _alternants_at(values)
-            lhs = jacobi_trudi(mu) * h_eval([pow(v, r, p) for v in values], m) % p
-            rhs = sum([c * jacobi_trudi(lam) for lam, c in expansion.coeffs.items()]) % p
+            lhs = det_mu * h_eval([pow(v, r, p) for v in values], m) % p
             if lhs != rhs and (a_delta := _vandermonde(values)):
                 ok = False
                 detail = (

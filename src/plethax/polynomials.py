@@ -14,10 +14,11 @@ of coordinates in [0, DEFAULT_PRIME), modulo that one fixed prime; the
 modular verifier samples 20 seeded points and runs every check before the
 strip search.  There each alternant is the Vandermonde determinant times a
 Jacobi-Trudi determinant of at most min(rows, columns) of its shape, over
-e_k and h_k tables built once per point; determinants up to 3 x 3 are
-expanded in closed form, larger ones eliminated.  Since the Vandermonde is
-a common factor of every alternant at a point, the verifier compares the
-determinants and pays for the Vandermonde only where they differ.
+e_k and h_k tables built once for all 20 points, one lane per point;
+determinants up to 4 x 4 are expanded in closed form over the lanes, larger
+ones eliminated lane by lane.  Since the Vandermonde is a common factor of
+every alternant at a point, the verifier compares the determinants and
+pays for the Vandermonde only where they differ.
 
 The package's size guards live here too, as this module imports nothing
 from the package; each raises GuardError naming its budget.
@@ -324,43 +325,59 @@ def seeded_points(n_vars: int, count: int, seed: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _det_mod(rows: list[list[int]], p: int) -> int:
-    """Determinant of a square matrix modulo p.
+def _det_mod(rows, lanes: int, p: int) -> list[int]:
+    """Determinants modulo p of `lanes` square matrices held entrywise:
+    rows[i][j] lists entry (i, j) of every matrix, one lane per matrix.
 
-    Sizes 0 to 3 are expanded along the first row and reduced once; larger
-    ones are eliminated in place.  Entries left of the pivot column are
-    never read again, so they are not cleared; the last pivot eliminates
-    nothing and needs no inverse."""
+    Sizes 0 to 4 are expanded in one pass over the lanes, size 4 along the
+    2 x 2 minors of its top two rows, and reduced once.  Larger ones are
+    eliminated lane by lane, as each lane has its own pivots; entries left
+    of the pivot column are never read again, so they are not cleared,
+    and the last pivot eliminates nothing and needs no inverse."""
     n = len(rows)
-    if n <= 3:
-        if n == 3:
-            (a, b, c), (d, e, f), (g, h, i) = rows
-            return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-        if n == 2:
-            (a, b), (c, d) = rows
-            return (a * d - b * c) % p
-        return rows[0][0] % p if n else 1
-    det = 1
-    for col in range(n):
-        lead = rows[col][col]
-        if not lead:
-            pivot = next((k for k in range(col + 1, n) if rows[k][col]), None)
-            if pivot is None:
-                return 0
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            lead = rows[col][col]
-            det = -det
-        det = det * lead % p
-        if col == n - 1:
-            break
-        inv = pow(lead, -1, p)
-        rest = rows[col][col + 1:]
-        for k in range(col + 1, n):
-            rk = rows[k]
-            factor = rk[col] * inv % p
-            if factor:
-                rk[col + 1:] = [(a - factor * b) % p for a, b in zip(rk[col + 1:], rest)]
-    return det % p
+    entries = zip(*sum(rows, []))  # each lane's entries, row by row
+    if n == 4:
+        return [
+            ((a * f - b * e) * (k * t - l * s) - (a * g - c * e) * (j * t - l * r)
+             + (a * h - d * e) * (j * s - k * r) + (b * g - c * f) * (i * t - l * q)
+             - (b * h - d * f) * (i * s - k * q) + (c * h - d * g) * (i * r - j * q)) % p
+            for a, b, c, d, e, f, g, h, i, j, k, l, q, r, s, t in entries
+        ]
+    if n == 3:
+        return [
+            (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+            for a, b, c, d, e, f, g, h, i in entries
+        ]
+    if n == 2:
+        return [(a * d - b * c) % p for a, b, c, d in entries]
+    if n < 2:
+        return [a % p for (a,) in entries] if n else [1] * lanes
+
+    def eliminate(flat):
+        matrix = [list(flat[i:i + n]) for i in range(0, n * n, n)]
+        det = 1
+        for col in range(n):
+            lead = matrix[col][col]
+            if not lead:
+                pivot = next((k for k in range(col + 1, n) if matrix[k][col]), None)
+                if pivot is None:
+                    return 0
+                matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+                lead = matrix[col][col]
+                det = -det
+            det = det * lead % p
+            if col == n - 1:
+                break
+            inv = pow(lead, -1, p)
+            rest = matrix[col][col + 1:]
+            for k in range(col + 1, n):
+                rk = matrix[k]
+                factor = rk[col] * inv % p
+                if factor:
+                    rk[col + 1:] = [(a - factor * b) % p for a, b in zip(rk[col + 1:], rest)]
+        return det % p
+
+    return list(map(eliminate, entries))
 
 
 def _vandermonde(values: tuple[int, ...]) -> int:
@@ -373,40 +390,45 @@ def _vandermonde(values: tuple[int, ...]) -> int:
     return a_delta
 
 
-def _alternants_at(values: tuple[int, ...]):
-    """lam -> s_lam(values) modulo DEFAULT_PRIME, the Jacobi-Trudi
-    determinant that a_delta(values) multiplies into a_{lam+delta}(values),
-    for the parts lam of a partition with at most one part per coordinate.
+def _alternants_at(points):
+    """lam -> [s_lam(x) mod DEFAULT_PRIME for x in points], the Jacobi-Trudi
+    determinants that a_delta(x) multiplies into a_{lam+delta}(x), for points
+    of N coordinates each and the parts lam of a partition of at most N parts.
 
     a_{lam+delta} = a_delta * det(h_{lam_i-i+j}) = a_delta * det(e_{lam'_i-i+j})
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3.4-3.5), and
     the smaller of the two determinants is taken; the Vandermonde a_delta
     is left to the caller (_vandermonde), so that a caller comparing sums
-    of alternants at one point can compare the determinants.  e_0..e_N are
-    computed once per point; h_k grows by the recurrence
+    of alternants at a point can compare the determinants.  A table holds
+    one list per degree with one value per point, its lane, and each update
+    is one pass over the lanes: e_0..e_N are computed once; h_k grows by
     h_k = sum_i (-1)^(i-1) e_i h_(k-i) as far as the widest shape asks.
-    Both tables carry N zeros below index 0, and the e table N more past
-    e_N, so every row of a determinant is one slice of its table.  The
-    coordinates and parts are not checked: a_beta_eval checks them, and
-    sorts an exponent vector into the parts.
+    Both tables carry N zero lists below index 0, and the e table N more
+    past e_N, so every row of a determinant is one slice of its table, and
+    one _det_mod call takes a shape at every point.  The coordinates and
+    parts are not checked: a_beta_eval checks them, and sorts an exponent
+    vector into the parts.
     """
     p = DEFAULT_PRIME
-    n = len(values)
-    # e_k from the coefficients of prod (1 + v t).
-    e = [1] + [0] * n
-    for v in values:
-        e = [(a + v * b) % p for a, b in zip(e, [0] + e)]
-    signed_e = [(-1) ** (i - 1) * e[i] for i in range(1, n + 1)]
+    lanes, n = len(points), len(points[0])
+    zero = [0] * lanes
+    # e_k from prod (1 + v t); signed_e[l] is (e_1, -e_2, e_3, ...) at lane l.
+    e = [[1] * lanes] + [zero] * n
+    for i, column in enumerate(zip(*points)):
+        for k in range(i + 1, 0, -1):
+            e[k] = [(a + v * b) % p for a, b, v in zip(e[k], e[k - 1], column)]
+    signed_e = list(zip(*[e[i] if i % 2 else [-a for a in e[i]] for i in range(1, n + 1)]))
     # h_k at h[n + k], e_k at e[n + k].
-    h = [0] * n + [1]
-    e = [0] * n + e + [0] * n
+    h = [zero] * n + [[1] * lanes]
+    e = [zero] * n + e + [zero] * n
 
-    def jacobi_trudi(lam) -> int:
+    def jacobi_trudi(lam) -> list[int]:
         depth = len(lam)
         width = lam[0] if depth else 0
         if depth <= width:
             for k in range(len(h) - n, width + depth):
-                h.append(sum(map(mul, signed_e, h[n + k - 1:k - 1:-1])) % p)
+                past = zip(*h[n + k - 1:k - 1:-1])
+                h.append([sum(map(mul, w, x)) % p for w, x in zip(signed_e, past)])
             parts, table = lam, h
         else:
             # The conjugate: parts[j] counts the parts of lam above j.
@@ -421,7 +443,7 @@ def _alternants_at(values: tuple[int, ...]):
         rows = [
             table[n + parts[i] - i:n + parts[i] - i + size] for i in range(size)
         ]
-        return _det_mod(rows, p)
+        return _det_mod(rows, lanes, p)
 
     return jacobi_trudi
 
@@ -449,7 +471,7 @@ def a_beta_eval(beta, values) -> int:
         return 0
     while lam and lam[-1] == 0:
         lam.pop()
-    alternant = _vandermonde(values) * _alternants_at(values)(lam)
+    alternant = _vandermonde(values) * _alternants_at([values])(lam)[0]
     return permutation_sign(order) * alternant % DEFAULT_PRIME
 
 

@@ -21,7 +21,7 @@ from oracles import (
     verify_process_by_regeneration,
     young_rule,
 )
-from plethax import expansion, process
+from plethax import expansion, polynomials, process
 from plethax import (
     Composition,
     LabelledAbacus,
@@ -305,25 +305,29 @@ def test_verify_process_needs_a_bead(n_beads):
         verify_process_identity(Partition(), 1, 2, n_beads)
 
 
-def test_verify_modular_builds_one_table_per_point(monkeypatch):
+def test_verify_modular_builds_one_table_over_all_points(monkeypatch):
     tables, values = [], []
     build = expansion._alternants_at
 
-    def counting(point):
-        tables.append(point)
-        alternant = build(point)
+    def counting(points):
+        tables.append(points)
+        alternants = build(points)
 
-        def value(beta):
-            values.append(beta)
-            return alternant(beta)
+        def value(lam):
+            dets = alternants(lam)
+            values.append((lam, dets))
+            return dets
 
         return value
 
     monkeypatch.setattr(expansion, "_alternants_at", counting)
     report = verify_against_oracle(Partition((2, 1)), 3, 2, 9, mode="modular", seed=42)
     assert report.ok
-    assert len(tables) == len(set(tables)) == 20
-    assert len(values) == 20 * (report.terms + 1)
+    assert tables == [seeded_points(9, 20, 42)]
+    assert len(set(tables[0])) == 20
+    assert len(values) == report.terms + 1
+    for lam, dets in values:
+        assert dets == [build([x])(lam)[0] for x in tables[0]]
 
 
 def test_verify_process_reads_each_labelling_once(monkeypatch):
@@ -499,6 +503,42 @@ def test_verify_modular_reports_first_mismatching_point(monkeypatch):
     assert report.detail == (
         "mismatch at point 0: lhs 350141721 != rhs 1383076305 (mod 2147483647)"
     )
+
+
+@pytest.mark.parametrize(
+    "mu, r, m, sizes_at_least, lhs, rhs",
+    [((), 4, 6, 4, 462570842, 209184291), ((1, 1, 1, 1), 3, 4, 5, 1350455635, 930969168)],
+)
+def test_verify_modular_reports_first_mismatch_through_large_determinants(
+    monkeypatch, mu, r, m, sizes_at_least, lhs, rhs
+):
+    """At N=24 the shapes of mu=() r=4 m=6 take 4x4 closed forms, and those
+    of mu=(1,1,1,1) r=3 m=4 also 5x5 to 7x7 eliminations; the report names
+    the full alternant sums of the first mismatching point, as elimination
+    of each 24x24 alternant gives them."""
+    mu, n, p = Partition(mu), 24, DEFAULT_PRIME
+    sizes = Counter()
+    det = polynomials._det_mod
+
+    def recording(rows, lanes, p):
+        sizes[len(rows)] += 1
+        return det(rows, lanes, p)
+
+    monkeypatch.setattr(polynomials, "_det_mod", recording)
+    monkeypatch.setattr(expansion, "pmn_expand", _flip_first_sign(pmn_expand))
+    report = verify_against_oracle(mu, r, m, n, mode="modular")
+    assert not report.ok
+    assert sizes[4] and max(sizes) >= sizes_at_least
+    x = seeded_points(n, 20, 0)[0]
+    eliminated = eliminated_alternant_eval(shifted_beta(mu.parts, n), x) * h_eval(
+        [pow(v, r, p) for v in x], m
+    ) % p
+    summed = sum(
+        c * eliminated_alternant_eval(shifted_beta(lam.parts, n), x)
+        for lam, c in expansion.pmn_expand(mu, r, m).items()
+    ) % p
+    assert (eliminated, summed) == (lhs, rhs)
+    assert report.detail == f"mismatch at point 0: lhs {lhs} != rhs {rhs} (mod {p})"
 
 
 @pytest.mark.parametrize("k", [None, 0, 1, 7, 19])

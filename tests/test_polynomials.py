@@ -311,18 +311,25 @@ def test_a_beta_eval_matches_elimination(case):
 def test_a_beta_eval_takes_the_smaller_jacobi_trudi_determinant(
     monkeypatch, lam, size
 ):
-    sizes = []
+    calls = []
     det = polynomials._det_mod
 
-    def recording(rows, p):
-        sizes.append(len(rows))
-        return det(rows, p)
+    def recording(rows, lanes, p):
+        calls.append((len(rows), lanes))
+        return det(rows, lanes, p)
 
     monkeypatch.setattr(polynomials, "_det_mod", recording)
     point = seeded_points(8, 1, seed=3)[0]
     beta = shifted_beta(lam, 8)[::-1]
     assert a_beta_eval(beta, point) == eliminated_alternant_eval(beta, point)
-    assert sizes == [size]
+    assert calls == [(size, 1)]
+
+
+def lanes_of(matrices):
+    """Same-size matrices held entrywise, as _det_mod takes them: entry
+    (i, j) lists every matrix's (i, j) entry."""
+    n = len(matrices[0])
+    return [[[a[i][j] for a in matrices] for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -337,51 +344,49 @@ def test_a_beta_eval_takes_the_smaller_jacobi_trudi_determinant(
 )
 def test_det_mod_swaps_rows_past_a_zero_pivot(rows, det):
     assert leibniz_det_mod(rows, DEFAULT_PRIME) == det
-    assert polynomials._det_mod([row[:] for row in rows], DEFAULT_PRIME) == det
+    assert polynomials._det_mod(lanes_of([rows]), 1, DEFAULT_PRIME) == [det]
 
 
 @st.composite
-def zero_corner_matrix_st(draw):
-    """A 1x1 to 5x5 matrix of small entries whose top-left entry is 0, so
-    elimination starts by looking for a row to swap in."""
-    n = draw(st.integers(1, 5))
-    rows = [
-        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(n)
-    ]
-    rows[0][0] = 0
-    return rows
-
-
-@given(zero_corner_matrix_st())
-def test_det_mod_matches_leibniz_on_zero_pivots(rows):
-    expected = leibniz_det_mod(rows, DEFAULT_PRIME)
-    assert polynomials._det_mod([row[:] for row in rows], DEFAULT_PRIME) == expected
-
-
-@st.composite
-def dense_matrix_st(draw):
-    """A 0x0 to 6x6 matrix with entries anywhere in [0, DEFAULT_PRIME), so
-    the closed forms (sizes 0 to 3) and elimination (4 up) both see large
-    products."""
+def lane_matrices_st(draw):
+    """Two to five 0x0 to 6x6 matrices of one size: one whose entries lie
+    anywhere in [0, DEFAULT_PRIME), so the closed forms (sizes 0 to 4) and
+    elimination (5 up) see large products; one of small entries with a 0 in
+    its top-left corner, so elimination starts by looking for a row to swap
+    in, and is often singular; and up to three more of either kind, in a
+    drawn order."""
     n = draw(st.integers(0, 6))
-    entry = st.integers(0, DEFAULT_PRIME - 1)
-    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+    def matrix(entry):
+        return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+    dense = st.integers(0, DEFAULT_PRIME - 1)
+    small = st.integers(0, 3)
+    corner = matrix(small)
+    if n:
+        corner[0][0] = 0
+    matrices = [matrix(dense), corner]
+    extra = draw(st.lists(st.sampled_from([dense, small]), max_size=3))
+    matrices += [matrix(entry) for entry in extra]
+    return draw(st.permutations(matrices))
 
 
-@example([])
-@given(dense_matrix_st())
-def test_det_mod_matches_leibniz_on_dense_matrices(rows):
-    expected = leibniz_det_mod(rows, DEFAULT_PRIME) if rows else 1
-    assert polynomials._det_mod([row[:] for row in rows], DEFAULT_PRIME) == expected
+@example([[[0, 1], [1, 0]], [[5, 7], [11, 13]]])
+@example([[[0] * 5] * 5, [[3 ** (i * j) for j in range(5)] for i in range(5)]])
+@given(lane_matrices_st())
+def test_det_mod_matches_leibniz_lane_by_lane(matrices):
+    rows = lanes_of(matrices)
+    before = [[entry[:] for entry in row] for row in rows]
+    expected = [leibniz_det_mod(a, DEFAULT_PRIME) for a in matrices]
+    assert polynomials._det_mod(rows, len(matrices), DEFAULT_PRIME) == expected
+    assert rows == before
 
 
 @st.composite
-def shapes_at_point_st(draw, n_vars):
-    """(shapes, point): up to four partitions of at most N parts, each in
-    about half the cases no longer than its first part (the h side of
-    _alternants_at) and otherwise longer (the e side), and a point with
-    distinct nonzero coordinates."""
-    n = draw(n_vars)
+def shapes_st(draw, n):
+    """Up to four partitions of at most n parts, each in about half the
+    cases no longer than its first part (the h side of _alternants_at) and
+    otherwise longer (the e side)."""
     shapes = []
     for _ in range(draw(st.integers(1, 4))):
         if n >= 2 and draw(st.booleans()):
@@ -393,32 +398,69 @@ def shapes_at_point_st(draw, n_vars):
         rest = draw(st.lists(st.integers(1, max(width, 1)), min_size=max(depth - 1, 0),
                              max_size=max(depth - 1, 0)))
         shapes.append(((width,) + tuple(sorted(rest, reverse=True))) if depth else ())
-    values = draw(
-        st.lists(st.integers(1, 2**31 - 2), min_size=n, max_size=n, unique=True)
-    )
-    return shapes, tuple(values)
+    return shapes
 
 
-def assert_alternants_at_match_elimination(shapes, point):
-    # One table serves every shape, as the modular verifier uses it; the
-    # Vandermonde times each determinant is the full alternant.
-    n = len(point)
-    jacobi_trudi = polynomials._alternants_at(point)
-    a_delta = polynomials._vandermonde(point)
+@st.composite
+def shapes_at_points_st(draw, n_vars):
+    """(shapes, points): shapes_st's shapes and one to three points with
+    distinct nonzero coordinates."""
+    n = draw(n_vars)
+    point = st.lists(st.integers(1, 2**31 - 2), min_size=n, max_size=n, unique=True)
+    return draw(shapes_st(n)), draw(st.lists(point.map(tuple), min_size=1, max_size=3))
+
+
+def assert_alternants_at_match_elimination(shapes, points):
+    # One table serves every shape, as the modular verifier uses it, on the
+    # points alone and all together; the Vandermonde times each
+    # determinant is the full alternant.
+    n = len(points[0])
+    a_delta = [polynomials._vandermonde(x) for x in points]
+    tables = [polynomials._alternants_at([x]) for x in points]
+    tables.append(polynomials._alternants_at(points))
     for lam in shapes:
-        alternant = a_delta * jacobi_trudi(lam) % DEFAULT_PRIME
-        assert alternant == eliminated_alternant_eval(shifted_beta(lam, n), point)
+        expected = [eliminated_alternant_eval(shifted_beta(lam, n), x) for x in points]
+        lanes = [det for table in tables[:-1] for det in table(lam)]
+        assert len(lanes) == len(points)
+        for dets in (lanes, tables[-1](lam)):
+            assert [a * d % DEFAULT_PRIME for a, d in zip(a_delta, dets)] == expected
 
 
-@given(shapes_at_point_st(st.integers(0, 14)))
+@given(shapes_at_points_st(st.integers(0, 14)))
 def test_alternants_at_takes_shapes(case):
     assert_alternants_at_match_elimination(*case)
 
 
 @settings(max_examples=10)
-@given(shapes_at_point_st(st.just(24)))
+@given(shapes_at_points_st(st.just(24)))
 def test_alternants_at_takes_shapes_at_24_variables(case):
     assert_alternants_at_match_elimination(*case)
+
+
+@st.composite
+def lanes_at_shapes_st(draw):
+    """(shapes, points): shapes_st's shapes and 1 to 20 points of 0 to 10
+    coordinates anywhere in [0, DEFAULT_PRIME), one of which repeats a
+    coordinate (given two) and one of which has a zero one (given one)."""
+    n = draw(st.integers(0, 10))
+    count = draw(st.integers(1, 20))
+    coordinate = st.integers(0, DEFAULT_PRIME - 1)
+    points = [draw(st.lists(coordinate, min_size=n, max_size=n)) for _ in range(count)]
+    repeated, zeroed = draw(st.permutations(range(max(count, 2))))[:2]
+    if n >= 2 and repeated < count:
+        i, j = draw(st.permutations(range(n)))[:2]
+        points[repeated][i] = points[repeated][j]
+    if n and zeroed < count:
+        points[zeroed][draw(st.integers(0, n - 1))] = 0
+    return draw(shapes_st(n)), [tuple(x) for x in points]
+
+
+@given(lanes_at_shapes_st())
+def test_alternants_at_lanes_match_one_lane_tables(case):
+    shapes, points = case
+    table = polynomials._alternants_at(points)
+    for lam in shapes:
+        assert table(lam) == [polynomials._alternants_at([x])(lam)[0] for x in points]
 
 
 def test_a_beta_eval_rejects_bad_exponents():

@@ -26,7 +26,10 @@ space that is renamed away fails the import.  The requests are:
   guard; `--mode modular` at seeds 0 and 1 on `MODULAR_SPACE` and on nine
   cases past it, with |mu| + r*m from 15 to 24; and failing verifies of
   each mode, with the expansion's first sign flipped or (process) its first
-  term dropped;
+  term dropped, the modular ones at mu=(2,1) r=3 with N=9 and N=20 and at
+  N=24 on mu=() r=4 m=6, whose determinants go up to 4x4 closed forms, and
+  mu=(1,1,1,1) r=3 m=4, which also eliminates 5x5 to 7x7 ones, so the
+  mismatch values of both paths are compared;
 - `expand`, plain, json and latex: iterated on `ITERATED_SPACE`, with a
   rho part of 4 or 5, which that space never sends, and on four more cases
   whose factors, taken smallest r*m first, run in another order than
@@ -210,7 +213,10 @@ def requests():
         for seed in (0, 1)
     ]
     verifies += [
-        ("flip-first-sign", verify((2, 1), 3, m, n, "modular")) for m, n in ((2, 9), (5, 20))
+        ("flip-first-sign", verify(mu, r, m, n, "modular"))
+        for mu, r, m, n in (
+            ((2, 1), 3, 2, 9), ((2, 1), 3, 5, 20), ((), 4, 6, 24), ((1, 1, 1, 1), 3, 4, 24),
+        )
     ]
     iterated = ITERATED_SPACE + [
         (mu, rho, nu)
