@@ -348,6 +348,41 @@ def test_det_mod_swaps_rows_past_a_zero_pivot(rows, det):
 
 
 @st.composite
+def zero_corner_matrix_st(draw):
+    """A 1x1 to 5x5 matrix of small entries whose top-left entry is 0, so
+    elimination starts by looking for a row to swap in."""
+    n = draw(st.integers(1, 5))
+    rows = [
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(n)
+    ]
+    rows[0][0] = 0
+    return rows
+
+
+@given(zero_corner_matrix_st())
+def test_det_mod_matches_leibniz_on_zero_pivots(rows):
+    expected = leibniz_det_mod(rows, DEFAULT_PRIME)
+    assert polynomials._det_mod(lanes_of([rows]), 1, DEFAULT_PRIME) == [expected]
+
+
+@st.composite
+def dense_matrix_st(draw):
+    """A 0x0 to 6x6 matrix with entries anywhere in [0, DEFAULT_PRIME), so
+    the closed forms (sizes 0 to 4) and elimination (5 up) both see large
+    products."""
+    n = draw(st.integers(0, 6))
+    entry = st.integers(0, DEFAULT_PRIME - 1)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@example([])
+@given(dense_matrix_st())
+def test_det_mod_matches_leibniz_on_dense_matrices(rows):
+    expected = leibniz_det_mod(rows, DEFAULT_PRIME)
+    assert polynomials._det_mod(lanes_of([rows]), 1, DEFAULT_PRIME) == [expected]
+
+
+@st.composite
 def lane_matrices_st(draw):
     """Two to five 0x0 to 6x6 matrices of one size: one whose entries lie
     anywhere in [0, DEFAULT_PRIME), so the closed forms (sizes 0 to 4) and
