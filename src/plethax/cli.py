@@ -71,11 +71,10 @@ def parse_abacus(text: str) -> LabelledAbacus:
 
 
 def render_expansion(expansion: SchurExpansion, fmt: str) -> str:
-    items = expansion.items()
-    if not items:
+    if not expansion:
         return "0"
     chunks = []
-    for index, (lam, coeff) in enumerate(items):
+    for index, (lam, coeff) in enumerate(expansion):
         if fmt == "latex":
             body = "s_{(" + ",".join(str(p) for p in lam) + ")}"
             if abs(coeff) != 1:

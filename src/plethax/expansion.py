@@ -18,7 +18,7 @@ from .partitions import (
     Partition,
     _add_strips,
     _bead_mask,
-    _mask_shape,
+    _terms,
     bead_positions,
     enumerate_supersets,
 )
@@ -46,63 +46,55 @@ from .polynomials import SparsePolynomial, a_beta, a_beta_eval  # noqa: F401
 from .process import epsilon, weight_with_budget  # noqa: F401
 
 
-class SchurExpansion:
-    """An integer combination of Schur functions, keyed by partition.
+class SchurExpansion(tuple):
+    """An integer combination of Schur functions: the tuple of its
+    (partition, coefficient) terms, partitions lexicographically
+    decreasing, which it compares, hashes and iterates as.
 
-    All partitions present must share one size (the terms of a homogeneous
-    symmetric function do); zero coefficients are dropped.
+    The constructor takes a dict or an iterable of (shape, coefficient)
+    pairs.  It checks each shape as a Partition and each coefficient as an
+    integer, merges repeated shapes and drops zero coefficients; all shapes
+    left must share one size (the terms of a homogeneous symmetric function
+    do).  Terms known to be valid and sorted are wrapped unchecked with
+    tuple.__new__(SchurExpansion, terms).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        cleaned: dict[Partition, int] = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
-        for lam, c in items:
-            c = cleaned.pop(lam, 0) + _integer(c)
-            if c:
-                cleaned[lam] = c
-        sizes = {lam.size for lam in cleaned}
+    def __new__(cls, coeffs=None):
+        merged: dict[Partition, int] = {}
+        for lam, c in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
+            lam = Partition(lam)
+            merged[lam] = merged.get(lam, 0) + _integer(c)
+        terms = sorted(((lam, c) for lam, c in merged.items() if c), reverse=True)
+        sizes = {lam.size for lam, _ in terms}
         if len(sizes) > 1:
             raise ValueError(f"mixed homogeneous degrees: {sorted(sizes)}")
-        self.coeffs = cleaned
-
-    @classmethod
-    def _unchecked(cls, coeffs: dict) -> "SchurExpansion":
-        """Wrap a dict of shapes of one size to nonzero ints as is."""
-        out = cls.__new__(cls)
-        out.coeffs = coeffs
-        return out
+        return tuple.__new__(cls, terms)
 
     def coefficient(self, lam: Partition) -> int:
-        return self.coeffs.get(lam, 0)
+        return dict(self).get(lam, 0)
 
     def items(self) -> list[tuple[Partition, int]]:
-        """(partition, coefficient) pairs, partitions lexicographically decreasing."""
-        return sorted(self.coeffs.items(), reverse=True)
+        """The terms as a list."""
+        return list(self)
 
     def support(self) -> list[Partition]:
-        return [lam for lam, _ in self.items()]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, SchurExpansion) and self.coeffs == other.coeffs
+        return [lam for lam, _ in self]
 
     def __repr__(self):
-        body = ", ".join(f"{lam}: {c}" for lam, c in self.items())
+        body = ", ".join(f"{lam}: {c}" for lam, c in self)
         return f"SchurExpansion({{{body}}})"
 
     def to_records(self) -> list[dict]:
         """JSON-ready term list in display order."""
-        return [{"partition": list(lam), "coeff": c} for lam, c in self.items()]
+        return [{"partition": list(lam), "coeff": c} for lam, c in self]
 
 
 def pmn_expand(mu: Partition, r: int, m: int) -> SchurExpansion:
     """Schur expansion of s_mu * (p_r o h_m): signed sum over the shapes
     reachable from mu by m strips of size r along a top-monotone chain."""
-    return SchurExpansion._unchecked(dict(enumerate_supersets(mu, r, m)))
+    return tuple.__new__(SchurExpansion, enumerate_supersets(mu, r, m))
 
 
 def pmn_expand_iterated(mu: Partition, rho: Partition, nu: Partition) -> SchurExpansion:
@@ -121,7 +113,7 @@ def pmn_expand_iterated(mu: Partition, rho: Partition, nu: Partition) -> SchurEx
     current = {_bead_mask(mu, n): 1}
     for _, r, m in sorted((r * m, r, m) for r in rho for m in nu):
         current = _add_strips(current, r, m)
-    return SchurExpansion._unchecked({_mask_shape(mask): c for mask, c in current.items()})
+    return tuple.__new__(SchurExpansion, _terms(current))
 
 
 def _check_factor(r: int, m: int):
@@ -201,7 +193,7 @@ def verify_against_oracle(
             max_vars=max_vars,
         )
         diff = dict(lhs)
-        for lam, c in expansion.items():
+        for lam, c in expansion:
             key = shifted_beta(lam, n_vars)
             left = diff.pop(key, 0) - c
             if left:
@@ -221,7 +213,7 @@ def verify_against_oracle(
         xs = seeded_points(n_vars, points, seed)
         jacobi_trudi = _alternants_at(xs)
         sums = [0] * points
-        for lam, c in expansion.coeffs.items():
+        for lam, c in expansion:
             sums = [(s + c * det) % p for s, det in zip(sums, jacobi_trudi(lam))]
         for index, (values, det_mu, rhs) in enumerate(zip(xs, jacobi_trudi(mu), sums)):
             # Both sides carry the factor a_delta(values), so the
@@ -318,9 +310,7 @@ def verify_process_identity(
         raise ValueError(f"need at least one bead, got {n_beads}")
     pairs = enumerate_pairs(mu, n_beads, r, m)
     expansion = pmn_expand(mu, r, m)
-    sign_of = {
-        lam: c for lam, c in expansion.items() if len(lam) <= n_beads
-    }
+    sign_of = {lam: c for lam, c in expansion if len(lam) <= n_beads}
 
     n_aborted = n_completed = 0
 

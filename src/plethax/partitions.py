@@ -227,9 +227,14 @@ def enumerate_supersets(mu: Partition, r: int, m: int) -> list[tuple[Partition, 
     if m < 0:
         raise ValueError(f"strip count must be nonnegative, got {m}")
     n = len(mu) + r * m
-    # Masks on one bead count decrease exactly when their shapes do.
-    found = sorted(_add_strips({_bead_mask(mu, n): 1}, r, m).items(), reverse=True)
-    return [(_mask_shape(mask), sign) for mask, sign in found]
+    return _terms(_add_strips({_bead_mask(mu, n): 1}, r, m))
+
+
+def _terms(masks: dict[int, int]) -> list[tuple[Partition, int]]:
+    """The (shape, coefficient) pairs of a map from bead masks on one bead
+    count, shapes in decreasing lexicographic order: masks on one bead
+    count decrease exactly when their shapes do."""
+    return [(_mask_shape(mask), c) for mask, c in sorted(masks.items(), reverse=True)]
 
 
 def _bead_mask(lam: Partition, n_beads: int) -> int:

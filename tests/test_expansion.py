@@ -1,6 +1,8 @@
 import ast
+import copy
 import inspect
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -49,6 +51,36 @@ def test_schur_expansion_drops_zeros_and_merges():
     assert len(e) == 0 and e.coefficient(Partition((2,))) == 0
     e = SchurExpansion([(Partition((2,)), 1), (Partition((2,)), 2)])
     assert e.coefficient(Partition((2,))) == 3
+
+
+def test_schur_expansion_checks_its_shapes():
+    e = SchurExpansion({(2,): 1})
+    assert e == SchurExpansion({Partition((2,)): 1}) and type(e[0][0]) is Partition
+    assert SchurExpansion([((2, 0), 1), ((2,), 2)]) == SchurExpansion({(2,): 3})
+    with pytest.raises(ValueError, match="weakly decreasing: 1 before 2"):
+        SchurExpansion({(1, 2): 1})
+
+
+def test_expansions_are_checked_tuples():
+    """An expansion compares, hashes and iterates as the tuple of its terms
+    in display order, keeps its repr, support and records, and copies and
+    pickles; tuple.__new__ builds one without the checks or the sort."""
+    e = pmn_expand(Partition(), 2, 2)
+    terms = ((Partition((4,)), 1), (Partition((3, 1)), -1), (Partition((2, 2)), 1))
+    assert e == terms and hash(e) == hash(terms) and tuple(e) == terms
+    assert e.items() == list(e) == list(terms)
+    assert dict(e) == {(4,): 1, (3, 1): -1, (2, 2): 1}
+    assert repr(e) == "SchurExpansion({(4): 1, (3,1): -1, (2,2): 1})"
+    assert e.support() == [(4,), (3, 1), (2, 2)]
+    assert e.to_records() == [
+        {"partition": [4], "coeff": 1},
+        {"partition": [3, 1], "coeff": -1},
+        {"partition": [2, 2], "coeff": 1},
+    ]
+    assert SchurExpansion(terms[::-1]) == e
+    assert tuple.__new__(SchurExpansion, terms[::-1]) != e
+    copies = [copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))]
+    assert copies == [e] * 3 and {type(c) for c in copies} == {SchurExpansion}
 
 
 def test_schur_expansion_rejects_mixed_degrees():
@@ -175,9 +207,10 @@ def test_iterated_fold_order_matches_single_factors_in_index_order(mu, rho, nu):
 
 
 def assert_passes_public_constructor(result):
-    assert result == SchurExpansion(list(result.coeffs.items()))
-    assert all(result.coeffs.values())
-    assert len({lam.size for lam in result.coeffs}) == 1
+    """The public constructor, which merges, drops zeros, checks the degree
+    and sorts, gives back the same terms in the same order."""
+    assert type(result) is SchurExpansion
+    assert result == SchurExpansion(list(result))
 
 
 @given(
@@ -195,6 +228,7 @@ def test_expansions_built_unchecked_pass_the_public_constructor(mu, r, m, rho, n
 def test_iterated_fold_builds_no_checked_partitions(checked_partitions):
     mu, rho, nu = Partition(), Partition((3, 2, 1)), Partition((2, 2))
     assert len(pmn_expand_iterated(mu, rho, nu)) == 1207
+    assert len(pmn_expand(mu, 4, 6)) == 84
     assert checked_partitions == [(), (3, 2, 1), (2, 2)]
 
 
@@ -218,7 +252,7 @@ def test_iterated_fold_gives_orthogonal_characters():
     one = Partition((1,))
     for n in range(1, 10):
         rhos = list(partitions_of(n))
-        chi = {rho: pmn_expand_iterated(Partition(), rho, one).coeffs for rho in rhos}
+        chi = {rho: dict(pmn_expand_iterated(Partition(), rho, one)) for rho in rhos}
         for rho, sigma in product(rhos, repeat=2):
             inner = sum(c * chi[sigma].get(lam, 0) for lam, c in chi[rho].items())
             assert inner == (z(rho) if rho == sigma else 0), (rho, sigma)

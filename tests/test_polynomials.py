@@ -204,12 +204,13 @@ def test_eval_point_validation():
     "call",
     [
         lambda: SchurExpansion({Partition((1,)): 1.5}),
+        lambda: SchurExpansion({(1.5,): 1}),
         lambda: a_beta((1.5, 0)),
         lambda: a_beta_eval((1, 0), (1.5, 2)),
         lambda: a_beta_eval((1.5, 0), (3, 5)),
         lambda: h_eval((1.5, 2), 2),
     ],
-    ids=["schur-coefficient", "a_beta", "eval-point", "a_beta_eval", "h_eval"],
+    ids=["schur-coefficient", "schur-shape", "a_beta", "eval-point", "a_beta_eval", "h_eval"],
 )
 def test_entry_points_reject_non_integral_entries(call):
     with pytest.raises(ValueError, match=re.escape("expected an integer entry, got 1.5")):
@@ -340,6 +341,13 @@ def lanes_of(matrices):
         # singular: rows 2 and 3 agree up to a factor, found after a swap
         ([[0, 1, 1], [1, 0, 0], [2, 0, 0]], 0),
         ([[0, 0], [0, 5]], 0),
+        # 5x5 and up are eliminated, so these reach the swap itself
+        ([[1, 1, 0, 0, 0], [1, 1, 1, 0, 0], [0, 1, 0, 0, 2], [0, 0, 0, 1, 0],
+          [3, 0, 0, 0, 1]], DEFAULT_PRIME - 7),  # one swap, at column 1
+        ([[0, 1, 1, 0, 0], [1, 0, 0, 0, 0], [2, 0, 0, 0, 0], [0, 0, 0, 1, 0],
+          [0, 0, 0, 0, 1]], 0),  # a swap at column 0, then singular at 2
+        ([[0, 2, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0],
+          [0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 1]], 1),  # swaps at 0 and 3
     ],
 )
 def test_det_mod_swaps_rows_past_a_zero_pivot(rows, det):

@@ -2,6 +2,13 @@
 
     python3 tools/cli_diff.py OLD_ROOT NEW_ROOT
 
+The tool and its servers use only the standard library, and the servers run
+under the interpreter that runs the tool, so running it with the oldest
+Python that `pyproject.toml` accepts (`requires-python = ">=3.10"`) sends
+every request through both checkouts on that floor:
+
+    python3.10 tools/cli_diff.py OLD_ROOT NEW_ROOT
+
 Builds one list of requests and sends it, as JSON lines on stdin, to one
 server per checkout: `python -S tools/cli_diff.py --serve` with only that
 checkout's `src/` on the path, so no installed plethax can stand in for a
