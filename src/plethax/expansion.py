@@ -10,6 +10,7 @@ identity (exactly, by straightening, or at seeded modular points), while
 verify_process_identity replays the bead-scanning process pair by pair.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial
 from operator import mul
@@ -73,7 +74,9 @@ class SchurExpansion(tuple):
         return tuple.__new__(cls, terms)
 
     def coefficient(self, lam: Partition) -> int:
-        return dict(self).get(lam, 0)
+        # Binary search: the terms' shapes run from above lam to at most lam.
+        i = bisect_left(self, True, key=lambda term: term[0] <= lam)
+        return self[i][1] if i < len(self) and self[i][0] == lam else 0
 
     def items(self) -> list[tuple[Partition, int]]:
         """The terms as a list."""
