@@ -12,16 +12,15 @@ Abaci are value types: every operation returns a new abacus, and equality
 ignores trailing empty slots.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 from .partitions import Partition, _mask_shape, bead_positions
 from .polynomials import _check_budget, _integer, permutation_sign
 
 
-@dataclass(frozen=True, slots=True)
-class Collision:
+class Collision(NamedTuple):
     """A blocked rightward move: `blocker` already occupies slot `position`."""
 
     bead: int
@@ -62,6 +61,7 @@ class LabelledAbacus:
                 raise ValueError(f"bead labels must be at least 1, got {label}")
             filled[pos] = label
         size = max(filled) + 1 if filled else 0
+        _check_budget(size, "abacus slots")
         slots = [0] * size
         for pos, label in filled.items():
             slots[pos] = label

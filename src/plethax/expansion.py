@@ -11,9 +11,9 @@ verify_process_identity replays the bead-scanning process pair by pair.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import factorial
 from operator import mul
+from typing import NamedTuple
 
 from .partitions import (
     Partition,
@@ -124,8 +124,7 @@ def _check_factor(r: int, m: int):
         raise ValueError("r and m must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     mode: str
     mu: Partition
@@ -237,8 +236,7 @@ def verify_against_oracle(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessIdentityReport:
+class ProcessIdentityReport(NamedTuple):
     ok: bool
     mu: Partition
     r: int

@@ -12,7 +12,7 @@ are bit counts.  The superset enumeration grows strips this way, the chain
 decomposition peels them, and both read shapes back off the mask.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .polynomials import _integer
 
@@ -23,8 +23,8 @@ class Partition(tuple):
 
     Trailing zeros are stripped on construction, so inputs differing only by
     attached zeros compare equal.  Increasing adjacent entries or negative
-    entries raise ValueError.  The checks run in __init__, so shapes known
-    to be valid are built unchecked with tuple.__new__(Partition, parts).
+    entries raise ValueError, on copy and unpickle too.  The checks run in
+    __init__, so tuple.__new__(Partition, parts) builds a valid shape unchecked.
     """
 
     __slots__ = ()
@@ -43,6 +43,9 @@ class Partition(tuple):
                 raise ValueError(
                     f"partition entries must be weakly decreasing: {a} before {b}"
                 )
+
+    def __reduce__(self):
+        return (Partition, (tuple(self),))
 
     parts = property(tuple)
 
@@ -146,8 +149,7 @@ def partition_from_positions(positions) -> Partition:
     return _mask_shape(sum(1 << y for y in given))
 
 
-@dataclass(frozen=True)
-class BorderStripChain:
+class BorderStripChain(NamedTuple):
     """A nested chain of shapes whose consecutive differences are r-border
     strips with weakly decreasing tops.
 

@@ -418,6 +418,13 @@ def test_subcommand_help_matches_the_top_level(monkeypatch, capsys):
          "bad partition '2,-1': partition entries must be nonnegative: [2, -1]"),
         (("verify", "--mu", "2,0,1", "--r", "1", "--m", "1", "--N", "4"),
          "bad partition '2,0,1': partition entries must be weakly decreasing: 0 before 1"),
+        # the abacus slot list, guarded before it is built
+        (("trace", "--abacus", "1000000000:1", "--beta", "0", "--r", "1"),
+         "1000000001 abacus slots exceeds the enumeration budget 10000000; "
+         "set PLETHAX_BUDGET higher to proceed"),
+        (("trace", "--canonical", "--mu", "1000000000", "--N", "1", "--beta", "0", "--r", "1"),
+         "1000000001 abacus slots exceeds the enumeration budget 10000000; "
+         "set PLETHAX_BUDGET higher to proceed"),
     ],
 )
 def test_input_errors_print_the_library_message(capsys, argv, message):
@@ -569,3 +576,16 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (
         0, "s[4] - s[3,1] + s[2,2]\n", ""
     )
+
+
+def test_importing_the_package_skips_dataclasses(tmp_path):
+    """The records are NamedTuples, so starting the CLI needs no
+    dataclasses (and none of the inspect, ast, dis it pulls in)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import plethax, plethax.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        cwd=tmp_path, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

@@ -313,8 +313,10 @@ def test_verify_checks_arguments_before_the_strip_search(
         ((Partition(), 400, 2, 30), GuardError,
          "123342579812668842265883443200000000 pairs exceeds the enumeration budget"),
         ((Partition((2, 1)), 1, 1, 1), ValueError, "(2,1) needs at least 2 beads, got 1"),
+        ((Partition((10**9,)), 1, 1, 1), GuardError,
+         "1000000001 abacus slots exceeds the enumeration budget 10000000"),
     ],
-    ids=["pairs-guard", "bead-count"],
+    ids=["pairs-guard", "bead-count", "slots-guard"],
 )
 def test_verify_process_checks_arguments_before_the_strip_search(
     monkeypatch, args, error, message

@@ -2,7 +2,6 @@ import ast
 import copy
 import pickle
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -77,8 +76,8 @@ def test_non_integral_entries_are_rejected(build, bad):
 
 def test_partitions_are_checked_tuples(checked_partitions):
     """A shape compares, hashes and indexes as the tuple of its parts, keeps
-    its repr and str, checks a generator input, and copies and pickles;
-    tuple.__new__ builds one without the checks."""
+    its repr and str, checks a generator input, and copies and pickles
+    through its checks; tuple.__new__ builds one without them."""
     lam = Partition((2, 1))
     assert lam == (2, 1) and hash(lam) == hash((2, 1))
     assert type(lam.parts) is tuple and lam.parts == (2, 1)
@@ -90,10 +89,14 @@ def test_partitions_are_checked_tuples(checked_partitions):
         Partition(p for p in (1, 3))
     assert checked_partitions == [(2, 1), (1, 1), (2,), (3, 1)]
     unchecked = tuple.__new__(Partition, (4, 2))
-    copies = [copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))]
     assert len(checked_partitions) == 4
     assert type(unchecked) is Partition and unchecked.size == 6
+    copies = [copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))]
+    assert checked_partitions[4:] == [(2, 1)] * 3
     assert copies == [lam] * 3 and {type(c) for c in copies} == {Partition}
+    edited = pickle.dumps(lam).replace(b"K\x02K\x01", b"K\x01K\x02")
+    with pytest.raises(ValueError, match="weakly decreasing: 1 before 2"):
+        pickle.loads(edited)
 
 
 def test_part_accessor():
@@ -328,7 +331,7 @@ def assert_strips_read_off_cells(chain, inner, outer):
 def test_chain_fields_are_consistent(chain_endpoints):
     inner, outer = chain_endpoints
     chain = r_decompose(SkewPartition(outer, inner), 5)
-    assert [f.name for f in fields(chain)] == ["r", "shapes", "tops", "bottoms"]
+    assert chain._fields == ("r", "shapes", "tops", "bottoms")
     assert chain.r == 5
     assert_strips_read_off_cells(chain, inner, outer)
 

@@ -1,5 +1,7 @@
 import ast
+import copy
 import math
+import pickle
 import re
 from itertools import product
 from pathlib import Path
@@ -12,14 +14,17 @@ import plethax
 from oracles import partner_by_swap, scan_by_r_move
 from test_abacus import abacus_st
 from plethax import (
+    BorderStripChain,
     Collision,
     Composition,
     LabelledAbacus,
     Partition,
+    ProcessIdentityReport,
     ProcessStep,
     ProcessTrace,
     Successful,
     Unsuccessful,
+    VerificationReport,
     all_abaci,
     canonical_abacus,
     compositions,
@@ -121,7 +126,7 @@ def test_process_records_are_immutable_named_tuples(abacus_533221):
     outcome = Unsuccessful(bead=4, blocker=1, position=1)
     assert repr(outcome) == "Unsuccessful(bead=4, blocker=1, position=1)"
     assert outcome == (4, 1, 1)
-    assert outcome != Collision(4, 1, 1)
+    assert Collision(4, 1, 6) == (4, 1, 6)
     step = ProcessStep(
         position=0, bead=0, action="skip-empty", abacus=abacus_533221, alpha=(0,)
     )
@@ -140,6 +145,44 @@ def test_process_records_are_immutable_named_tuples(abacus_533221):
         with pytest.raises(AttributeError):
             setattr(record, field, 2)
     assert trace._replace(r=2).r == 2 and trace.r == 1
+
+
+@pytest.mark.parametrize(
+    "record, fields, defaults, text",
+    [
+        (Collision(bead=4, blocker=1, position=6),
+         ("bead", "blocker", "position"), {},
+         "Collision(bead=4, blocker=1, position=6)"),
+        (BorderStripChain(r=1, shapes=(Partition(), Partition((1,))), tops=(1,), bottoms=(1,)),
+         ("r", "shapes", "tops", "bottoms"), {},
+         "BorderStripChain(r=1, shapes=(Partition(()), Partition((1,))), tops=(1,), "
+         "bottoms=(1,))"),
+        (VerificationReport(ok=True, mode="modular", mu=Partition((1,)), r=1, m=1, n_vars=2),
+         ("ok", "mode", "mu", "r", "m", "n_vars", "seed", "points", "terms", "detail"),
+         {"seed": None, "points": 0, "terms": 0, "detail": ""},
+         "VerificationReport(ok=True, mode='modular', mu=Partition((1,)), r=1, m=1, "
+         "n_vars=2, seed=None, points=0, terms=0, detail='')"),
+        (ProcessIdentityReport(ok=True, mu=Partition((1,)), r=1, m=1, n_beads=2,
+                               n_pairs=2, n_aborted=0, n_completed=2),
+         ("ok", "mu", "r", "m", "n_beads", "n_pairs", "n_aborted", "n_completed", "detail"),
+         {"detail": ""},
+         "ProcessIdentityReport(ok=True, mu=Partition((1,)), r=1, m=1, n_beads=2, "
+         "n_pairs=2, n_aborted=0, n_completed=2, detail='')"),
+    ],
+    ids=["collision", "chain", "verification-report", "process-report"],
+)
+def test_records_are_immutable_named_tuples(record, fields, defaults, text):
+    """Each record builds by keyword into the tuple of its fields, keeps its
+    fields, defaults and repr, refuses field assignment, and copies and
+    pickles as its own type."""
+    assert record._fields == fields and record._field_defaults == defaults
+    assert repr(record) == text
+    assert record == tuple(getattr(record, name) for name in fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
+    for copied in [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]:
+        assert copied == record and type(copied) is type(record)
 
 
 def test_scan_actions_are_recorded(abacus_533221):
