@@ -5,6 +5,8 @@ algebraic oracle (polynomials) are kept separate so every answer can be
 checked along two independent paths.
 """
 
+import types
+
 from .abacus import (
     Collision,
     LabelledAbacus,
@@ -61,48 +63,9 @@ from .process import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BorderStripChain",
-    "Collision",
-    "Composition",
-    "DEFAULT_PRIME",
-    "LabelledAbacus",
-    "Partition",
-    "ProcessIdentityReport",
-    "ProcessStep",
-    "ProcessTrace",
-    "SchurExpansion",
-    "SkewPartition",
-    "SparsePolynomial",
-    "Successful",
-    "Unsuccessful",
-    "VerificationReport",
-    "a_beta",
-    "a_beta_eval",
-    "all_abaci",
-    "bead_positions",
-    "canonical_abacus",
-    "compositions",
-    "enumerate_pairs",
-    "enumerate_supersets",
-    "epsilon",
-    "h_eval",
-    "h_poly",
-    "k_set",
-    "pair_budget",
-    "partition_from_positions",
-    "partitions_of",
-    "plethysm_pr",
-    "pmn_expand",
-    "pmn_expand_iterated",
-    "psi",
-    "r_decompose",
-    "run_process",
-    "seeded_points",
-    "sgn_r",
-    "shifted_beta",
-    "straighten_product",
-    "verify_against_oracle",
-    "verify_process_identity",
-    "weight_with_budget",
-]
+# The public names are those the imports above bind, less the submodules.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a verification
 ran and failed.  Output is byte-stable for fixed inputs; JSON records carry
-a schema version for downstream parsing.
+a schema version for downstream parsing.  Each command returns its exit code
+and its text, and main is the one place that prints them.
 """
 
 import argparse
@@ -101,7 +102,7 @@ def _record(command: str, inputs: dict, result: dict) -> str:
     )
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple[int, str]:
     mu = parse_partition(args.mu)
     iterated = args.rho is not None or args.nu is not None
     if iterated:
@@ -123,56 +124,39 @@ def _cmd_expand(args) -> int:
         expansion = pmn_expand(mu, args.r, args.m)
         inputs = {"mu": list(mu), "r": args.r, "m": args.m}
     if args.format == "json":
-        print(_record("expand", inputs, {"terms": expansion.to_records()}))
-    else:
-        print(render_expansion(expansion, args.format))
-    return 0
+        return 0, _record(args.command, inputs, {"terms": expansion.to_records()})
+    return 0, render_expansion(expansion, args.format)
 
 
-def _cmd_sgn(args) -> int:
+def _cmd_sgn(args) -> tuple[int, str]:
     outer = parse_partition(args.outer)
     inner = parse_partition(args.inner)
     if args.r < 1:
         raise UsageError("--r must be positive")
     chain = r_decompose(SkewPartition(outer, inner), args.r)
     if args.format == "json":
-        chain_record = None
-        if chain is not None:
-            chain_record = {
-                "shapes": [list(s) for s in chain.shapes],
-                "tops": list(chain.tops),
-                "bottoms": list(chain.bottoms),
-                "strip_signs": list(chain.strip_signs),
-            }
-        result = {
-            "sign": 0 if chain is None else chain.sign,
-            "chain": chain_record,
+        inputs = {"outer": list(outer), "inner": list(inner), "r": args.r}
+        if chain is None:
+            return 0, _record(args.command, inputs, {"sign": 0, "chain": None})
+        record = {
+            "shapes": [list(s) for s in chain.shapes],
+            "tops": list(chain.tops),
+            "bottoms": list(chain.bottoms),
+            "strip_signs": list(chain.strip_signs),
         }
-        print(
-            _record(
-                "sgn",
-                {"outer": list(outer), "inner": list(inner), "r": args.r},
-                result,
-            )
-        )
-        return 0
+        return 0, _record(args.command, inputs, {"sign": chain.sign, "chain": record})
     if chain is None:
-        print("0")
-        return 0
-    print(f"{chain.sign:+d}")
+        return 0, "0"
     if chain.d == 0:
-        print("chain: empty")
-        return 0
-    print("chain: " + " -> ".join(str(s) for s in chain.shapes))
-    for k in range(chain.d):
-        print(
-            f"strip {k + 1}: top {chain.tops[k]} "
-            f"bottom {chain.bottoms[k]} sign {chain.strip_signs[k]:+d}"
-        )
-    return 0
+        return 0, f"{chain.sign:+d}\nchain: empty"
+    lines = [f"{chain.sign:+d}", "chain: " + " -> ".join(str(s) for s in chain.shapes)]
+    strips = zip(chain.tops, chain.bottoms, chain.strip_signs)
+    for k, (top, bottom, sign) in enumerate(strips, 1):
+        lines.append(f"strip {k}: top {top} bottom {bottom} sign {sign:+d}")
+    return 0, "\n".join(lines)
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> tuple[int, str]:
     if args.r < 1:
         raise UsageError("--r must be positive")
     if args.abacus is not None:
@@ -194,10 +178,10 @@ def _cmd_trace(args) -> int:
     # The scan pads the abacus with r slots per move.
     _check_budget(args.r * sum(entries), "scan slots")
     trace = run_process(w, beta, args.r)
-
+    out = trace.outcome
     partner = None
     if not trace.successful:
-        partner = _partner(w, beta, args.r, trace.outcome)
+        partner = _partner(w, beta, args.r, out)
 
     if args.format == "json":
         steps = [
@@ -216,60 +200,52 @@ def _cmd_trace(args) -> int:
             "shapes": [list(s) for s in trace.shapes()],
         }
         if trace.successful:
-            result["final"] = trace.outcome.abacus.render_pairs()
+            result["final"] = out.abacus.render_pairs()
         else:
             result["collision"] = {
-                "bead": trace.outcome.bead,
-                "blocker": trace.outcome.blocker,
-                "position": trace.outcome.position,
+                "bead": out.bead,
+                "blocker": out.blocker,
+                "position": out.position,
             }
             result["epsilon"] = {
                 "abacus": partner[0].render_pairs(),
                 "beta": list(partner[1]),
             }
-        print(
-            _record(
-                "trace",
-                {
-                    "abacus": w.render_pairs(),
-                    "beta": list(beta),
-                    "r": args.r,
-                },
-                result,
-            )
-        )
-        return 0
+        inputs = {"abacus": w.render_pairs(), "beta": list(beta), "r": args.r}
+        return 0, _record(args.command, inputs, result)
 
-    print(f"initial: {w.render()}")
-    print(f"beta: {beta}  r: {args.r}")
+    lines = [f"initial: {w.render()}", f"beta: {beta}  r: {args.r}"]
+    shapes = [w.shape()]
     for s in trace.steps:
         if s.action == "skip-empty":
-            print(f"i={s.position}  slot empty")
+            lines.append(f"i={s.position}  slot empty")
         elif s.action == "skip-exhausted":
-            print(f"i={s.position}  bead {s.bead} has no moves left")
+            lines.append(f"i={s.position}  bead {s.bead} has no moves left")
         elif s.action == "moved":
-            print(
+            shapes.append(s.abacus.shape())
+            lines.append(
                 f"i={s.position}  bead {s.bead} moves to {s.position + args.r}; "
-                f"shape now {s.abacus.shape()}"
+                f"shape now {shapes[-1]}"
             )
         else:
-            print(f"i={s.position}  bead {s.bead} collides")
+            lines.append(f"i={s.position}  bead {s.bead} collides")
     if trace.successful:
-        print("outcome: successful")
-        print(f"final: {trace.outcome.abacus.render()}")
-        print("shapes: " + " -> ".join(str(s) for s in trace.shapes()))
+        lines += [
+            "outcome: successful",
+            f"final: {out.abacus.render()}",
+            "shapes: " + " -> ".join(str(s) for s in shapes),
+        ]
     else:
-        out = trace.outcome
-        print(
+        lines += [
             f"outcome: unsuccessful at i={out.position}: "
-            f"bead {out.bead} collides with bead {out.blocker}"
-        )
-        print(f"epsilon abacus: {partner[0].render()}")
-        print(f"epsilon beta: {partner[1]}")
-    return 0
+            f"bead {out.bead} collides with bead {out.blocker}",
+            f"epsilon abacus: {partner[0].render()}",
+            f"epsilon beta: {partner[1]}",
+        ]
+    return 0, "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     mu = parse_partition(args.mu)
     if args.r < 1 or args.m < 1:
         raise UsageError("--r and --m must be positive")
@@ -306,16 +282,15 @@ def _cmd_verify(args) -> int:
             inputs["seed"] = args.seed
             result["points"] = report.points
             shown = {"seed": args.seed, "points": report.points}
+    code = 0 if report.ok else 2
     if args.format == "json":
-        print(_record("verify", inputs, result))
-    else:
-        status = "PASS" if report.ok else "FAIL"
-        tail = "".join(f" {key}={value}" for key, value in shown.items())
-        print(
-            f"{status} {args.mode}: mu={mu} r={args.r} m={args.m} "
-            f"N={args.n_beads}{tail}: {report.detail}"
-        )
-    return 0 if report.ok else 2
+        return code, _record(args.command, inputs, result)
+    status = "PASS" if report.ok else "FAIL"
+    tail = "".join(f" {key}={value}" for key, value in shown.items())
+    return code, (
+        f"{status} {args.mode}: mu={mu} r={args.r} m={args.m} "
+        f"N={args.n_beads}{tail}: {report.detail}"
+    )
 
 
 @functools.cache
@@ -385,10 +360,12 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         else:
             args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-        return args.handler(args)
+        code, text = args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

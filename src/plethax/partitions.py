@@ -14,7 +14,7 @@ decomposition peels them, and both read shapes back off the mask.
 
 from typing import NamedTuple
 
-from .polynomials import _integer
+from .polynomials import _check_budget, _integer
 
 
 class Partition(tuple):
@@ -188,26 +188,32 @@ def r_decompose(skew: SkewPartition, r: int) -> BorderStripChain | None:
     that slot before the move, and its bottom row the beads at and above the
     landing slot after it.  When the highest differing slot holds one of
     inner's beads instead, the shape has a row shorter than inner's, which
-    no peel lengthens, so there is no chain.
+    no peel lengthens, so there is no chain.  The size // r peels are counted
+    against pair_budget() as "strips" before any mask is built.
     """
     if r < 1:
         raise ValueError(f"strip size must be positive, got {r}")
     if skew.size % r:
         return None
+    strips = skew.size // r
+    _check_budget(strips, "strips")
     n = len(skew.outer)
     mask, goal = _bead_mask(skew.outer, n), _bead_mask(skew.inner, n)
+    # The peel runs from outer down to inner; the chain lists it upwards.
     shapes, tops, bottoms = [skew.outer], [], []
-    for _ in range(skew.size // r):
+    for _ in range(strips):
         p = (mask ^ goal).bit_length() - 1
         if p < r or not mask >> p & 1 or mask >> p - r & 1:
             return None
-        tops.insert(0, (mask >> p).bit_count())
+        tops.append((mask >> p).bit_count())
         mask ^= (1 | 1 << r) << p - r
-        bottoms.insert(0, (mask >> p - r).bit_count())
-        shapes.insert(0, _mask_shape(mask))
+        bottoms.append((mask >> p - r).bit_count())
+        shapes.append(_mask_shape(mask))
     if mask != goal:
         return None
-    return BorderStripChain(r, tuple(shapes), tuple(tops), tuple(bottoms))
+    return BorderStripChain(
+        r, tuple(reversed(shapes)), tuple(reversed(tops)), tuple(reversed(bottoms))
+    )
 
 
 def sgn_r(skew: SkewPartition, r: int) -> int:
@@ -241,8 +247,12 @@ def _terms(masks: dict[int, int]) -> list[tuple[Partition, int]]:
 
 def _bead_mask(lam: Partition, n_beads: int) -> int:
     """The bead set of lam on n_beads beads as an int: bit p is set when
-    slot p holds a bead, so the bits are bead_positions(lam, n_beads)."""
-    return sum(1 << p for p in bead_positions(lam, n_beads))
+    slot p holds a bead, so the bits are bead_positions(lam, n_beads).
+    The beads past lam's rows fill slots 0 to n_beads - len(lam) - 1."""
+    mask = (1 << n_beads - len(lam)) - 1
+    for j, part in enumerate(lam, 1):
+        mask |= 1 << part + n_beads - j
+    return mask
 
 
 def _mask_shape(mask: int) -> Partition:

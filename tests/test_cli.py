@@ -425,6 +425,13 @@ def test_subcommand_help_matches_the_top_level(monkeypatch, capsys):
         (("trace", "--canonical", "--mu", "1000000000", "--N", "1", "--beta", "0", "--r", "1"),
          "1000000001 abacus slots exceeds the enumeration budget 10000000; "
          "set PLETHAX_BUDGET higher to proceed"),
+        # the peel's strips, guarded before the first bead mask is built
+        (("sgn", "--outer", "1000000000", "--inner=", "--r", "1"),
+         "1000000000 strips exceeds the enumeration budget 10000000; "
+         "set PLETHAX_BUDGET higher to proceed"),
+        (("sgn", "--outer", "1000000000", "--inner", "", "--r", "1", "--format", "json"),
+         "1000000000 strips exceeds the enumeration budget 10000000; "
+         "set PLETHAX_BUDGET higher to proceed"),
     ],
 )
 def test_input_errors_print_the_library_message(capsys, argv, message):
@@ -589,3 +596,14 @@ def test_importing_the_package_skips_dataclasses(tmp_path):
         cwd=tmp_path, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_star_import_binds_exactly_the_public_names():
+    import plethax
+
+    namespace = {}
+    exec("from plethax import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == plethax.__all__
+    assert not [name for name in namespace if name.startswith("_")]
+    assert not [name for name, value in namespace.items() if isinstance(value, type(os))]

@@ -22,6 +22,7 @@ from plethax import (
     ProcessIdentityReport,
     ProcessStep,
     ProcessTrace,
+    SkewPartition,
     Successful,
     Unsuccessful,
     VerificationReport,
@@ -33,6 +34,7 @@ from plethax import (
     k_set,
     partitions_of,
     psi,
+    r_decompose,
     run_process,
     weight_with_budget,
 )
@@ -256,8 +258,9 @@ def test_enumeration_budget_guard(monkeypatch):
         (lambda: enumerate_pairs(Partition(), 3, 1, 2), 36, "pairs"),
         (lambda: all_abaci(Partition((1,)), 3), 6, "labellings"),
         (lambda: k_set(Partition(), Partition((2,)), 3, 2, 1), 6, "labellings"),
+        (lambda: r_decompose(SkewPartition(Partition((3, 3)), Partition()), 1), 6, "strips"),
     ],
-    ids=["enumerate_pairs", "all_abaci", "k_set"],
+    ids=["enumerate_pairs", "all_abaci", "k_set", "r_decompose"],
 )
 def test_budget_guard_trips_at_the_call(monkeypatch, enumerate_, count, what):
     monkeypatch.setenv("PLETHAX_BUDGET", "5")
